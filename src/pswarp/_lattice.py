@@ -17,9 +17,7 @@ polynomial.  Everything here is float closed form: no arbitrary
 precision, no lattice truncation.
 """
 
-import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -60,68 +58,89 @@ def _series_at_origin(depth: int, twist: float) -> np.ndarray:
     return c
 
 
-def _jets_direct(z0: float, depth: int, twist: float) -> np.ndarray:
-    """Jet of zeta_q at z0 by one-sided division; needs |z0| >= ~0.5.
+def _jets_direct(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
+    """Jets of zeta_q at every row of z by one-sided division; needs |z| >= ~0.5.
 
     Below that radius the subtraction of the 1/z jet cancels
     catastrophically at high order (the function is analytically small
-    while both parts grow like |z0|^(-e)).
+    while both parts grow like |z|^(-e)).  Returns (rows, depth + 1).
     """
     n = depth + 1
-    ez = cmath.exp(TWO_PI_J * z0)
-    den = np.empty(n, dtype=np.complex128)
-    den[0] = ez - 1.0
+    # exp(j2pi z) - 1 from the offset to the nearest integer, where it is
+    # small near |z| = 1 and expm1 keeps it to full relative precision
+    r = z - np.rint(z)
+    ez = np.exp(TWO_PI_J * r)
+    den = np.empty((n, z.size), dtype=np.complex128)
+    den[0] = np.expm1(TWO_PI_J * r)
     for d in range(1, n):
         den[d] = (den[d - 1] if d > 1 else ez) * TWO_PI_J / d
     # den[d] = (2 pi j)^d ez / d! for d >= 1
-    num = np.empty(n, dtype=np.complex128)
+    num = np.empty((n, z.size), dtype=np.complex128)
     wt = TWO_PI_J * twist
-    num[0] = cmath.exp(wt * z0)
+    num[0] = np.exp(wt * z)
     for d in range(1, n):
         num[d] = num[d - 1] * wt / d
+    c = TWO_PI_J * jet_div(num, den)
     if twist == 0.0:
-        c = TWO_PI_J * jet_div(num, den)
         c[0] += 1j * math.pi
-    else:
-        c = TWO_PI_J * jet_div(num, den)
-    e = np.arange(n)
-    c -= (-1.0) ** e * z0 ** (-(e + 1.0))
-    return c
+    e = np.arange(n)[:, None]
+    c -= (-1.0) ** e * z ** (-(e + 1.0))
+    return c.T
 
 
-def unit_lattice_jets(z0: float, depth: int, twist: float) -> np.ndarray:
-    """Taylor coefficients c_0..c_depth of zeta_q at z0, |z0| < 1.
+def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
+    """Jets of zeta_q at every row of z, |z| < 0.5, from the origin series.
 
-    twist is the fractional phase t in q = exp(j2pi t), reduced to
-    [0, 1); t = 0 means the untwisted symmetric sum.
+    out[r, e] = sum_{d >= e} c0[d] C(d, e) z_r^(d-e), with the binomial
+    factor built by term *= z d/(d - e) for all rows and orders at once.
+    The origin terms suffice for the row nearest |z| = 1/2: its
+    re-centering has fully entered its geometric decay and dropped below
+    double precision, and every other row's decays faster.  Returns
+    (rows, depth + 1).
     """
-    z0 = float(z0)
-    if not -1.0 < z0 < 1.0:
+    az = float(np.max(np.abs(z)))
+    d_max = depth + int(math.ceil(0.8 * depth / (0.75 - az))) + 180
+    c0 = _series_at_origin(d_max, twist)
+    e = np.arange(depth + 1)
+    out = np.tile(c0[:depth + 1], (z.size, 1))
+    term = np.ones((z.size, depth + 1))
+    for d in range(1, d_max + 1):
+        k = min(d, depth + 1)  # orders e < d take a term at this d
+        t = term[:, :k]
+        t *= z[:, None] * d / (d - e[:k])
+        out[:, :k] += c0[d] * t
+    return out
+
+
+def unit_lattice_jets(z0, depth: int, twist: float) -> np.ndarray:
+    """Taylor coefficients c_0..c_depth of zeta_q at every z0, |z0| < 1.
+
+    z0 is a scalar or an array of rows; the result carries one trailing
+    axis of orders.  twist is the fractional phase t in q = exp(j2pi t),
+    reduced to [0, 1); t = 0 means the untwisted symmetric sum.  The
+    origin series is computed once per call.
+    """
+    z = np.asarray(z0, dtype=np.float64)
+    if not np.all(np.abs(z) < 1.0):
         raise ValueError("lattice jets need |z0| < 1")
     twist = float(twist) % 1.0
-    if abs(z0) < _RECENTER_RADIUS:
-        az = abs(z0)
-        if az == 0.0:
-            return _series_at_origin(depth, twist)
-        # enough origin terms that the binomial re-centering has fully
-        # entered its geometric decay and dropped below double precision
-        extra = int(math.ceil(0.8 * depth / (0.75 - az))) + 180
-        d_max = depth + extra
-        c0 = _series_at_origin(d_max, twist)
-        out = np.empty(depth + 1, dtype=np.complex128)
-        for e in range(depth + 1):
-            term = 1.0  # C(d, e) z0^(d-e) at d = e
-            acc = c0[e] + 0.0j
-            for d in range(e + 1, d_max + 1):
-                term *= z0 * d / (d - e)
-                acc += c0[d] * term
-            out[e] = acc
-        return out
-    return _jets_direct(z0, depth, twist)
+    flat = z.ravel()
+    near = np.abs(flat) < _RECENTER_RADIUS
+    out = np.empty((flat.size, depth + 1), dtype=np.complex128)
+    if near.any():
+        out[near] = _jets_recentred(flat[near], depth, twist)
+    if not near.all():
+        out[~near] = _jets_direct(flat[~near], depth, twist)
+    return out.reshape(z.shape + (depth + 1,))
 
 
-def lattice_tail_values(z0: float, s_max: int, twist: float) -> np.ndarray:
-    """T_s(z0, q) for s = 1..s_max: out[s-1] = sum_{k!=0} q^k (z0-k)^(-s)."""
+def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
+    """T_s(z0, q) for s = 1..s_max: out[..., s-1] = sum_{k!=0} q^k (z0-k)^(-s).
+
+    z0 is a scalar or an array of rows, as in unit_lattice_jets.
+    """
+    if s_max < 1:
+        raise ValueError("need at least one power s >= 1")
     c = unit_lattice_jets(z0, s_max - 1, twist)
     return (-1.0) ** np.arange(s_max) * c
 

@@ -5,10 +5,13 @@ Two entry points, adjoint to each other:
 * ``nufft_eval``: sum_{k in set} c_k e^{2 pi j k t} at nonuniform t.
 * ``nufft_project``: sum_j v_j e^{-2 pi j k t_j} for k in the set.
 
-Oversampled FFT (ratio >= 2) with a Kaiser-Bessel window; half-width 14
-cells holds both directions to about 1e-13 relative against dense
-evaluation. Frequencies are re-centered so an asymmetric set costs one
-extra modulation, not a larger grid.
+Oversampled FFT (ratio >= 2) with a Kaiser-Bessel window of half-width
+14 cells.  Against a direct sum, relative to the largest output, both
+directions hold about 1e-12 at sizes up to a few hundred.  At 16385 to
+65537 frequencies evaluation holds about 5e-12; projection loses up to
+2e-11 at the band edges, where dividing out the window transform
+amplifies its aliasing floor.  Frequencies are re-centered so an
+asymmetric set costs one extra modulation, not a larger grid.
 """
 
 from functools import lru_cache
@@ -39,26 +42,40 @@ def _plan(set_n, set_l):
     return k0, shifted, n, w, beta, window_hat
 
 
-def _window(x, n, w, beta):
-    # Kaiser-Bessel bump supported on |x| <= w/n, unit sup-norm scale 1/I0(beta)
-    y = 1.0 - (x * n / w) ** 2
+def _window(u, w, beta):
+    # Kaiser-Bessel bump over offsets u in grid cells, supported on |u| <= w,
+    # unit sup-norm scale 1/I0(beta)
+    y = 1.0 - (u / w) ** 2
     inside = y > 0.0
-    out = np.zeros_like(x)
+    out = np.zeros_like(u)
     out[inside] = np.i0(beta * np.sqrt(y[inside]))
     return out / np.i0(beta)
 
 
 def _spread_geometry(t, n, w):
-    u0 = np.rint(t * n).astype(np.int64)
+    """Spreading cells of each point and its offsets from them in cell units.
+
+    t n is split exactly into p + err (Dekker's product, with t cut into
+    26-bit halves; n < 2^26 needs no cut), so the offsets t n - cell
+    carry no rounding of the product, and points outside [0, 1) need no
+    reduction: the cells wrap instead.
+    """
+    if n >= 1 << 26:
+        raise ValueError("spreading grid too long for the exact offset split")
+    p = t * n
+    c = t * 134217729.0  # 2^27 + 1
+    hi = c - (c - t)
+    err = (hi * n - p) + (t - hi) * n
+    u0 = np.rint(p)
     offsets = np.arange(-w, w + 1)
-    cells = u0[:, None] + offsets[None, :]
-    dist = t[:, None] - cells / n
+    cells = u0.astype(np.int64)[:, None] + offsets[None, :]
+    dist = ((p - u0) + err)[:, None] - offsets[None, :]
     return cells % n, dist
 
 
 def nufft_eval(points, coeffs, freq_set):
     """Evaluate sum_{k in freq_set} coeffs_k e^{2 pi j k t} at each point."""
-    t = np.asarray(points, dtype=float) % 1.0
+    t = np.asarray(points, dtype=float)
     c = np.asarray(coeffs, dtype=complex)
     k0, shifted, n, w, beta, window_hat = _plan(freq_set.N, freq_set.L)
     if c.shape[0] != shifted.shape[0]:
@@ -67,21 +84,21 @@ def nufft_eval(points, coeffs, freq_set):
     z[shifted % n] = c / (n * window_hat)
     g = np.fft.ifft(z) * n
     cells, dist = _spread_geometry(t, n, w)
-    vals = _window(dist, n, w, beta)
+    vals = _window(dist, w, beta)
     f = np.einsum("jc,jc->j", vals, g[cells])
     return f * np.exp(2j * np.pi * k0 * t)
 
 
 def nufft_project(points, values, freq_set):
     """Adjoint: sum_j values_j e^{-2 pi j k t_j} over k in freq_set."""
-    t = np.asarray(points, dtype=float) % 1.0
+    t = np.asarray(points, dtype=float)
     v = np.asarray(values, dtype=complex)
     if v.shape[0] != t.shape[0]:
         raise ValueError("value count does not match the point count")
     k0, shifted, n, w, beta, window_hat = _plan(freq_set.N, freq_set.L)
     vmod = v * np.exp(-2j * np.pi * k0 * t)
     cells, dist = _spread_geometry(t, n, w)
-    vals = _window(dist, n, w, beta)
+    vals = _window(dist, w, beta)
     z = np.zeros(n, dtype=complex)
     np.add.at(z, cells.ravel(), (vals * vmod[:, None]).ravel())
     spectrum = np.fft.fft(z)

@@ -118,9 +118,6 @@ class RatPoly2:
 
     # -- queries ---------------------------------------------------------
 
-    def degree_b(self):
-        return max((i for i, _ in self.c), default=-1)
-
     def degree_k(self):
         return max((j for _, j in self.c), default=-1)
 
@@ -131,24 +128,11 @@ class RatPoly2:
             total += v * b**i * k**j
         return total
 
-    def eval_float(self, b, k):
-        return float(self.eval(Fraction(b) if isinstance(b, int) else b, k))
-
-    def k_coefficients(self, b=None):
-        """Coefficients in ascending k powers.
-
-        With b=None each entry is a dict {power_of_b: Fraction}; with a
-        concrete b each entry is the collapsed Fraction/float value.
-        """
-        deg = self.degree_k()
-        if b is None:
-            out = [dict() for _ in range(deg + 1)]
-            for (i, j), v in self.c.items():
-                out[j][i] = v
-            return out
-        out = [Fraction(0)] * (deg + 1)
+    def k_coefficients(self):
+        """Coefficients in ascending k powers, each a dict {power_of_b: Fraction}."""
+        out = [dict() for _ in range(self.degree_k() + 1)]
         for (i, j), v in self.c.items():
-            out[j] += v * Fraction(b) ** i
+            out[j][i] = v
         return out
 
     def subs_b(self, b):
@@ -220,7 +204,7 @@ class RatPoly2:
         """
         if not self.c:
             return "0"
-        cols = self.k_coefficients(b=None)
+        cols = self.k_coefficients()
         parts = []
         for j in range(len(cols) - 1, -1, -1):
             bcoef = cols[j]
@@ -273,8 +257,3 @@ def _b_poly_string(bcoef, b_name):
     for neg, text in parts[1:]:
         out += (" - " if neg else " + ") + text
     return out
-
-
-def poly_from_k_coefficients(coeffs) -> RatPoly2:
-    """Build from ascending k-power coefficients (Fractions or ints)."""
-    return RatPoly2({(0, j): Fraction(v) for j, v in enumerate(coeffs)})

@@ -138,15 +138,6 @@ class DomainSpec:
             "feasible_saf": f.saf_feasible,
         }
 
-    def describe_line(self):
-        f = self.feasibility
-        return (
-            f"N={self.N} (L={self.input_set.L}, mu={self.input_set.mu:.4g}), "
-            f"M={self.M} (L={self.output_set.L}, mu={self.output_set.mu:.4g}), "
-            f"mode={self.mode}, b={self.b:.4g}, "
-            f"swf_feasible={f.swf_feasible}, saf_feasible={f.saf_feasible}"
-        )
-
 
 def domain_spec(warp, N, M, L_N=None, L_M=None, mode=FREQUENCY_WARPING, b=0.5) -> DomainSpec:
     inp = make_index_set(N, N // 2 if L_N is None else L_N)

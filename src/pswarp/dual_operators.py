@@ -78,8 +78,12 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     return G
 
 
+def _spectral_radius(C: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
+
+
 def compute_Z(H: np.ndarray, G: np.ndarray,
-              H_dual: np.ndarray = None) -> np.ndarray:
+              H_dual: np.ndarray = None, *, radius: float = None) -> np.ndarray:
     """Resum the compressed tail-product series in closed form.
 
     Returns Z = G (I - H_dual H' G)^(-1), which satisfies
@@ -93,13 +97,16 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
     Raises ValueError when the compressed product has spectral radius
     at or above one: the series diverges there, which happens exactly
     when the sampling geometry is too tight for the correction
-    feasibility (decay ratios near one leave too much tail energy).
+    feasibility (decay ratios near one leave too much tail energy).  A
+    caller that already has that radius passes it, so the eigenvalues
+    are computed once.
     """
     if H_dual is None:
         H_dual = H
     n = G.shape[0]
     C = H_dual @ H.conj().T @ G
-    radius = float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
+    if radius is None:
+        radius = _spectral_radius(C)
     if radius >= 1.0:
         raise ValueError(
             "dual correction series diverges: compressed tail product has "
@@ -150,7 +157,8 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     the exact tail Gram, and resums the correction.  Maps with no
     derivative jumps give empty compressed blocks and an identity
     correction.  A prebuilt weight-b factorization can be passed to
-    skip one kernel build.
+    skip one kernel build.  The conjugate factorization shares the row
+    folds of the weight-b one, which do not depend on the exponent.
     """
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b
@@ -160,9 +168,9 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
         raise ValueError("factorization was built for a different spec or "
                          "weight exponent")
     if fact_dual is None:
-        kw = dict(factor_kw)
-        kw["R"] = fact.rows  # mixed-kernel products need matching block sizes
-        fact_dual = saf.build_factorization(warp, spec, b_dual, **kw)
+        # on fact's rows: mixed-kernel products need matching block sizes
+        kw = {k: v for k, v in factor_kw.items() if k != "R"}
+        fact_dual = saf._reweighted_factorization(warp, fact, b_dual, **kw)
     elif (fact_dual.spec is not spec or fact_dual.b != b_dual
           or fact_dual.rows != fact.rows):
         raise ValueError("conjugate factorization does not match the spec, "
@@ -170,9 +178,8 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     H = stacked_blocks(fact)
     H_dual = stacked_blocks(fact_dual)
     G = tail_row_gram(fact)
-    C = H_dual @ H.conj().T @ G
-    radius = float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
-    Z = compute_Z(H, G, H_dual)
+    radius = _spectral_radius(H_dual @ H.conj().T @ G)
+    Z = compute_Z(H, G, H_dual, radius=radius)
     return DualFactorization(b=b, b_dual=b_dual, H=H, H_dual=H_dual,
                              G=G, Z=Z, spectral_radius=radius,
                              fact=fact, fact_dual=fact_dual)

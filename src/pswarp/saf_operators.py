@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from . import swf_operators as swf
 from . import symbolic_kernel as sk
@@ -31,70 +30,6 @@ from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _
 
 K_TAIL_DEFAULT = 8
 ROW_ORDER_CAP = 64
-
-# the pole-subtracted cotangent recurrence cancels catastrophically when
-# the evaluation point is much closer to the removed pole than to the
-# neighbouring ones; cap the tolerated digit loss and fall back to the
-# series, which has one sign per parity and no cancellation at all
-_RECURRENCE_DIGIT_BUDGET = 3.0
-
-
-def _zeta_deriv_series(i: int, z: float) -> float:
-    # remainder of the cotangent partial fractions,
-    #   pi cot(pi z) - 1/z = -2 sum_{k>=1} zeta(2k) z^(2k-1),
-    # differentiated termwise; converges for |z| < 1
-    total = 0.0
-    k = (i + 2) // 2
-    while True:
-        e = 2 * k - 1 - i
-        term = float(_riemann_zeta(2 * k)) * math.perm(2 * k - 1, i) * z**e
-        total += term
-        if abs(term) <= 1e-18 * abs(total) and k > (i + 2) // 2 + 2:
-            break
-        k += 1
-        if k > i + 700:  # unreachable for |z| < 1; guards against NaN loops
-            break
-    return -2.0 * total
-
-
-@lru_cache(maxsize=None)
-def _cot_poly(i: int) -> tuple:
-    # p_i with D^i cot(u) = p_i(cot u):  p' chain rule, D cot = -(1 + cot^2)
-    if i == 0:
-        return (0.0, 1.0)
-    prev = np.asarray(_cot_poly(i - 1))
-    dp = np.polynomial.polynomial.polyder(prev)
-    return tuple(-np.polynomial.polynomial.polymul((1.0, 0.0, 1.0), dp))
-
-
-def _zeta_deriv_recurrence(i: int, z: float) -> float:
-    c = 1.0 / math.tan(math.pi * z)
-    cot_part = math.pi ** (i + 1) * float(
-        np.polynomial.polynomial.polyval(c, np.asarray(_cot_poly(i)))
-    )
-    pole_part = (-1.0) ** i * math.factorial(i) * z ** -(i + 1)
-    return cot_part - pole_part
-
-
-def zeta_deriv(i: int, z: float) -> float:
-    """i-th derivative of pi cot(pi z) - 1/z, the periodized pole remainder.
-
-    Odd in z; zeta_deriv(0, 0.5) = -2 and zeta_deriv(1, 0) = -pi^2/3.
-    The cotangent-polynomial recurrence is used where its pole
-    subtraction stays well conditioned, the termwise series elsewhere.
-    """
-    if i < 0:
-        raise ValueError("derivative order must be >= 0")
-    z = float(z)
-    if not -1.0 < z < 1.0:
-        raise ValueError("the periodized pole remainder needs |z| < 1")
-    az = abs(z)
-    if az < 0.1:
-        return _zeta_deriv_series(i, z)
-    digits_lost = (i + 1) * math.log10((1.0 - az) / az) if az < 0.5 else 0.0
-    if digits_lost > _RECURRENCE_DIGIT_BUDGET:
-        return _zeta_deriv_series(i, z)
-    return _zeta_deriv_recurrence(i, z)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +45,10 @@ class BasisSet:
     Y: (tail, R) inverse powers of the out-of-band row index, scaled by
        the effective output half-bandwidth.
     U: (M_band, R) closed-form fold of the Y columns over the full row
-       lattice, valid when every jump sits on the output sample lattice
-       (build_factorization swaps in a phase-twisted variant otherwise).
+       lattice, valid when every jump sits on the output sample lattice:
+       the twist-0 case ((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, 1) of the
+       shared lattice fold, real.  build_factorization folds with the
+       jump's phase twist otherwise.
     """
 
     V: np.ndarray
@@ -119,6 +56,17 @@ class BasisSet:
     U: np.ndarray
     k_tail: int
     tail_indices: np.ndarray
+
+
+def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
+    """((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, q) on every band row m, i < R.
+
+    The Y columns folded over the full row lattice with row phase
+    q = exp(j2pi twist), all band rows in one lattice_tail_values call.
+    """
+    ms = np.asarray(spec.output_set.indices, dtype=np.int64)
+    pref = ((1.0 - spec.output_set.mu) / 2.0) ** (np.arange(R) + 1.0)
+    return pref * lattice_tail_values(ms / spec.M, R, twist)
 
 
 def build_bases(spec: DomainSpec, R: int, k_tail: int = K_TAIL_DEFAULT) -> BasisSet:
@@ -140,13 +88,7 @@ def build_bases(spec: DomainSpec, R: int, k_tail: int = K_TAIL_DEFAULT) -> Basis
     tails = tail_row_indices(spec, k_tail)
     Y = (tails[:, None] / row_radius) ** -(orders[None, :] + 1.0)
 
-    ms = np.asarray(spec.output_set.indices, dtype=np.int64)
-    coef = np.array(
-        [-((mu_M - 1.0) ** (i + 1)) / (2.0 ** (i + 1) * math.factorial(i)) for i in orders]
-    )
-    U = np.empty((ms.size, R), dtype=float)
-    for r, m in enumerate(ms):
-        U[r] = [coef[i] * zeta_deriv(i, m / M) for i in orders]
+    U = _row_fold(spec, R, 0.0).real
     return BasisSet(V=V, Y=Y, U=U, k_tail=int(k_tail), tail_indices=tails)
 
 
@@ -218,12 +160,34 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol,
                              max_level=max_level)
     basis = build_bases(spec, bundle.rows, k_tail)
+    return _assemble(spec, b, bundle, basis, {}, kernel_tol)
+
+
+def _reweighted_factorization(warp, fact: TailFactorization, b: float,
+                              k_tail: int = K_TAIL_DEFAULT,
+                              kernel_tol: float = sk.KERNEL_TOL_DEFAULT,
+                              max_level: int = sk.MAX_LEVEL_DEFAULT) -> TailFactorization:
+    """fact's factorization at weight exponent b, on fact's rows.
+
+    Only the jump kernels depend on b: the bases and the per-jump row
+    folds depend on (spec, R, xi) alone and are taken from fact.
+    """
+    spec = fact.spec
+    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=kernel_tol,
+                             max_level=max_level)
+    basis = fact.basis
+    if basis.k_tail != k_tail:
+        basis = build_bases(spec, fact.rows, k_tail)
+    folds = {pc.xi: pc.U for pc in fact.pieces}
+    return _assemble(spec, b, bundle, basis, folds, kernel_tol)
+
+
+def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
+              kernel_tol: float) -> TailFactorization:
+    """One JumpCorrection per kernel of bundle; folds maps xi to a known row fold."""
     M = spec.M
-    mu_M = spec.output_set.mu
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
-    orders = np.arange(bundle.rows)
-    pref = ((1.0 - mu_M) / 2.0) ** (orders + 1.0)
 
     pieces = []
     worst_profile = 0.0
@@ -232,11 +196,10 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
         aligned = _is_lattice_aligned(M * ker.xi)
         if aligned:
             U = basis.U
+        elif ker.xi in folds:
+            U = folds[ker.xi]
         else:
-            twist = (-M * ker.xi) % 1.0
-            U = np.empty((ms.size, bundle.rows), dtype=np.complex128)
-            for r, m in enumerate(ms):
-                U[r] = pref * lattice_tail_values(m / M, bundle.rows, twist)
+            U = _row_fold(spec, bundle.rows, (-M * ker.xi) % 1.0)
         profile = np.abs(ker.S @ basis.V).max(axis=1)
         positive = profile[profile > 0]
         if positive.size:
@@ -260,7 +223,7 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
             "the corrected operator is unreliable at this redundancy "
             f"(smallest decay ratio {bundle.J_min:.3f})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     return TailFactorization(

@@ -186,6 +186,66 @@ def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
 
 
 # ---------------------------------------------------------------------------
+# exact collapse of the b powers
+
+
+@lru_cache(maxsize=None)
+def _integer_tables(max_level: int) -> tuple:
+    """gamma_tables(max_level) over one common denominator per k power.
+
+    Returns (top, levels): per level and sequence, one (den, nums) pair
+    per k power j, with the gamma's coefficient of b^i k^j equal to
+    nums[i] / den exactly; top is the highest b power in the tables.
+    """
+    top = 0
+    out = []
+    for level in gamma_tables(max_level):
+        rows = []
+        for seq, gamma in level:
+            cols = []
+            for col in gamma.k_coefficients():
+                den = math.lcm(*(v.denominator for v in col.values()))
+                nums = [0] * (max(col, default=-1) + 1)
+                for i, v in col.items():
+                    nums[i] = v.numerator * (den // v.denominator)
+                top = max(top, len(nums) - 1)
+                cols.append((den, tuple(nums)))
+            rows.append((seq, tuple(cols)))
+        out.append(tuple(rows))
+    return top, tuple(out)
+
+
+def _collapse_b(max_level: int, b: float) -> list:
+    """Per level, (sequences, k coefficients at this b), correctly rounded.
+
+    The coefficients come as one (sequences, max k power + 1) matrix in
+    ascending k powers, zero-padded.  b is a float, so b = m / 2^e
+    exactly.  Each k coefficient sum_i (nums[i] / den) (m / 2^e)^i is one
+    exact integer ratio over den 2^(e D), with D the top b power of the
+    tables, rounded once by int / int division: the same floats as
+    collapsing through Fraction.
+    """
+    top, levels = _integer_tables(max_level)
+    m, two_e = float(b).as_integer_ratio()
+    shift = two_e.bit_length() - 1
+    bpow = [m**i << (shift * (top - i)) for i in range(top + 1)]
+    out = []
+    for level in levels:
+        seqs = tuple(seq for seq, _ in level)
+        width = max(len(cols) for _, cols in level)
+        coef = np.zeros((len(seqs), width))
+        for row, (_, cols) in enumerate(level):
+            for j, (den, nums) in enumerate(cols):
+                acc = 0
+                for n, p in zip(nums, bpow):
+                    if n:
+                        acc += n * p
+                coef[row, j] = acc / (den << (shift * top))
+        out.append((seqs, coef))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # jump kernel
 
 
@@ -263,15 +323,17 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     if R < 1:
         raise ValueError("R must be >= 1")
 
-    tables = gamma_tables(max_level)
-    bq = Fraction(b)
-    # collapse the exact b powers once per build; everything downstream is
-    # float anyway, and exact evaluation in the i loop dominates the cost
-    kpolys = [
-        [(seq, tuple(float(c) for c in gamma.k_coefficients(bq)))
-         for seq, gamma in tables[level]]
-        for level in range(max_level + 1)
-    ]
+    # levels past R - 1 pair with no (row, column) of S
+    levels = _collapse_b(max_level, b)[:R]
+    rows = np.arange(R, dtype=np.float64)
+    # gamma_{l,n}(i) at every row i: Horner from the top k power, the same
+    # operations per entry as evaluating one polynomial at a time
+    gammas = []
+    for seqs, coef in levels:
+        g = np.zeros((len(seqs), R))
+        for j in range(coef.shape[1] - 1, -1, -1):
+            g = g * rows + coef[:, j, None]
+        gammas.append(g)
     scale = -1j * math.pi * M * (1.0 - spec.output_set.mu)  # -2j pi row_radius
 
     kernels = []
@@ -279,26 +341,20 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         Jp, Jm = sides[xi]
         jets_p = warp.side_jets(xi, max_level + 1, "right")
         jets_m = warp.side_jets(xi, max_level + 1, "left")
-        weighted = [
-            [(kc, _beta_value(jets_p, seq, b), _beta_value(jets_m, seq, b))
-             for seq, kc in kpolys[level]]
-            for level in range(max_level + 1)
-        ]
+        jp = np.array([Jp ** (-k) for k in range(R)])
+        jm = np.array([Jm ** (-k) for k in range(R)])
+        # S[i, k] pairs level i - k; levels past max_level are dropped,
+        # suppressed by scale^(k-i-1) far below tol
         S = np.zeros((R, R), dtype=np.complex128)
-        for i in range(R):
-            for k in range(i + 1):
-                level = i - k
-                if level > max_level:
-                    continue  # suppressed by scale^(k-i-1), far below tol
-                ap = am = 0.0
-                for kc, bp, bm in weighted[level]:
-                    g = 0.0
-                    for c in reversed(kc):
-                        g = g * i + c
-                    if g:
-                        ap += bp * g
-                        am += bm * g
-                S[i, k] = scale ** (k - i - 1) * (ap * Jp ** (-k) - am * Jm ** (-k))
+        for level, ((seqs, _), g) in enumerate(zip(levels, gammas)):
+            bp = np.array([_beta_value(jets_p, seq, b) for seq in seqs])
+            bm = np.array([_beta_value(jets_m, seq, b) for seq in seqs])
+            # alpha_{i,level}: summed over the sequences in table order
+            ap = np.add.accumulate(bp[:, None] * g, axis=0)[-1]
+            am = np.add.accumulate(bm[:, None] * g, axis=0)[-1]
+            k = np.arange(R - level)
+            S[k + level, k] = scale ** (-level - 1) * (
+                ap[level:] * jp[k] - am[level:] * jm[k])
         kernels.append(
             SingularityKernel(
                 xi=float(xi),

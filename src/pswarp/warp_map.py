@@ -356,10 +356,6 @@ class InverseMap:
         return float(out[0]) if scalar else out
 
 
-def inverse_eval(inv: InverseMap, y, tol=1e-14):
-    return inv.eval(y, tol=tol)
-
-
 # -- validation ---------------------------------------------------------------
 
 

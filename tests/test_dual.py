@@ -176,6 +176,36 @@ def test_diverging_series_is_refused():
             dual_W_f(w, spec)
 
 
+def test_conjugate_factorization_reuses_the_folds():
+    # bases and row folds depend on (spec, R, xi) only, so the conjugate
+    # weight shares them; the result is the same as building it afresh
+    w, spec = _pl_freq()
+    dfact = build_dual_factorization(w, spec, b=0.3)
+    fact, dual = dfact.fact, dfact.fact_dual
+    assert dual.basis is fact.basis
+    assert [pc.lattice_aligned for pc in dual.pieces] == [True, False, False]
+    for pc, pd in zip(fact.pieces, dual.pieces):
+        assert pd.U is pc.U
+    fresh = build_factorization(w, spec, 0.7, R=fact.rows)
+    assert np.array_equal(fresh.band_fold, dual.band_fold)
+    assert np.array_equal(stacked_blocks(fresh), dfact.H_dual)
+
+
+def test_dual_build_computes_the_radius_once(monkeypatch):
+    w, spec = _pl_freq()
+    fact = build_factorization(w, spec, 0.5)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda C: calls.append(C.shape) or eigvals(C))
+    dfact = build_dual_factorization(w, spec, fact=fact)
+    assert len(calls) == 1
+    assert 0.0 < dfact.spectral_radius < 1.0
+    # a radius handed to compute_Z is still checked
+    with pytest.raises(ValueError, match="spectral radius"):
+        compute_Z(dfact.H, dfact.G, dfact.H_dual, radius=1.0)
+
+
 # ---------------------------------------------------------------------------
 # frequency-domain dual
 

@@ -15,6 +15,7 @@ from pswarp._ratpoly import (
 from pswarp.symbolic_kernel import (
     KernelBundle,
     Sequence,
+    _beta_value,
     alpha_eval,
     build_kernel,
     choose_rows,
@@ -271,6 +272,54 @@ def test_kernel_rows_and_ratios():
     assert np.allclose(np.triu(ker.S, 1), 0)
     bun25 = build_kernel(w, spec, kernel_tol=1e-4)
     assert bun25.rows == 25
+
+
+def _kernel_by_fractions(warp, spec, bun):
+    """S of every jump by the scalar reference: b collapsed through Fraction."""
+    b, R, level_cap = bun.b, bun.rows, bun.max_level
+    bq = F(b)
+    tables = gamma_tables(level_cap)
+    kpolys = [[(seq, [float(sum(v * bq**i for i, v in col.items()))
+                      for col in gamma.k_coefficients()])
+               for seq, gamma in tables[level]]
+              for level in range(level_cap + 1)]
+    scale = -1j * math.pi * spec.M * (1.0 - spec.output_set.mu)
+    out = []
+    for ker in bun.kernels:
+        Jp, Jm = ker.J_plus, ker.J_minus
+        jets_p = warp.side_jets(ker.xi, level_cap + 1, "right")
+        jets_m = warp.side_jets(ker.xi, level_cap + 1, "left")
+        S = np.zeros((R, R), dtype=np.complex128)
+        for i in range(R):
+            for k in range(i + 1):
+                level = i - k
+                if level > level_cap:
+                    continue
+                ap = am = 0.0
+                for seq, kc in kpolys[level]:
+                    g = 0.0
+                    for c in reversed(kc):
+                        g = g * i + c
+                    if g:
+                        ap += _beta_value(jets_p, seq, b) * g
+                        am += _beta_value(jets_m, seq, b) * g
+                S[i, k] = scale ** (k - i - 1) * (ap * Jp ** (-k) - am * Jm ** (-k))
+        out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("b", [0.5, 0.3, 0.0, 1.0, 1.0 / 3.0, 0.7123456789])
+def test_kernel_matches_fraction_collapse_bit_for_bit(b):
+    # the integer collapse rounds each k coefficient once, like Fraction,
+    # and the row-vectorized Horner keeps the scalar operation order
+    cases = [(exponential_map(), 33, 67, None),
+             (cubic_seam_map(), 9, 31, 20),
+             (piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8]), 9, 19, 6)]
+    for w, N, M, R in cases:
+        spec = domain_spec(w, N, M, b=b)
+        bun = build_kernel(w, spec, b, R=R)
+        for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
+            assert np.array_equal(ker.S, ref), (w.spec["type"], b)
 
 
 def test_kernel_refuses_divergent_geometry():

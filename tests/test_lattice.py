@@ -69,12 +69,44 @@ def test_tail_values_high_order(z, t):
         assert abs(T[s - 1] - ref) <= 5e-13 * abs(ref), (z, t, s)
 
 
-@pytest.mark.parametrize("z", [0.07, 0.49, 0.51, 0.894])
+@pytest.mark.parametrize("z", [0.07, 0.49, 0.51, 0.894, 0.999, -0.9999])
 def test_tail_values_high_order_untwisted(z):
     T = lattice_tail_values(z, 64, 0.0)
     for s in (2, 16, 33, 64):
         ref = complex((-1) ** s * mp.zeta(s, 1 - z) + mp.zeta(s, 1 + z))
         assert abs(T[s - 1] - ref) <= 5e-13 * abs(ref), (z, s)
+
+
+def mp_lattice_sum(z, t, s):
+    """sum_{k != 0} e^(j2pi k t) (z - k)^(-s), the symmetric sum at t = 0."""
+    z = mp.mpf(z)
+    if t != 0.0:
+        with mp.workdps(20):
+            return mp_two_sided(z, mp.mpf(t), s)
+    # odd sums vanish at z = 0 by symmetry; keep digits through the cancellation
+    extra = 0 if z == 0 else max(0, int(-mp.log10(abs(z))))
+    with mp.workdps(30 + extra):
+        if s == 1:
+            return complex(mp.digamma(1 - z) - mp.digamma(1 + z))
+        return complex((-1) ** s * mp.zeta(s, 1 - z) + mp.zeta(s, 1 + z))
+
+
+@given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=1, max_size=2),
+       st.sampled_from([0.0, 1.0 - 1e-9])
+       | st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.integers(min_value=1, max_value=64),
+       st.data())
+@settings(max_examples=10, deadline=None)
+def test_array_fold_matches_lattice_sums(zs, t, depth, data):
+    # rows on both sides of |z| = 1/2 go through one call; each row against
+    # an arbitrary-precision lattice sum at the top order and a drawn one
+    T = lattice_tail_values(np.array(zs), depth, t)
+    assert T.shape == (len(zs), depth)
+    s_low = data.draw(st.integers(min_value=1, max_value=depth))
+    for r, z in enumerate(zs):
+        for s in ({s_low, depth} if r == 0 else {depth}):
+            ref = mp_lattice_sum(z, t, s)
+            assert abs(T[r, s - 1] - ref) <= 5e-13 * max(abs(ref), 1.0), (z, t, s)
 
 
 def test_jets_reject_out_of_range():

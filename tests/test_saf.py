@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,6 @@ from pswarp.saf_operators import (
     build_factorization,
     build_W_f,
     build_W_t,
-    zeta_deriv,
-    _zeta_deriv_recurrence,
-    _zeta_deriv_series,
 )
 from pswarp.warp_map import (
     cubic_seam_map,
@@ -32,58 +30,74 @@ from pswarp.warp_map import (
 
 
 # ---------------------------------------------------------------------------
-# periodized pole remainder and its derivatives
+# periodized pole remainder and its derivatives: the twist-0 lattice fold
+
+
+def pole_remainder(i, z):
+    """i-th derivative of pi cot(pi z) - 1/z, read off T_{i+1}(z, 1)."""
+    return (-1.0) ** i * math.factorial(i) * lattice_tail_values(z, i + 1, 0.0)[..., i].real
 
 
 def test_pole_remainder_pinned_values():
-    assert zeta_deriv(0, 0.0) == 0.0
-    assert zeta_deriv(0, 0.5) == pytest.approx(-2.0, abs=1e-14)
-    assert zeta_deriv(0, 0.25) == pytest.approx(math.pi - 4.0, rel=1e-14)
-    assert zeta_deriv(1, 0.0) == pytest.approx(-math.pi**2 / 3.0, rel=1e-14)
+    assert pole_remainder(0, 0.0) == 0.0
+    assert pole_remainder(0, 0.5) == pytest.approx(-2.0, abs=1e-14)
+    assert pole_remainder(0, 0.25) == pytest.approx(math.pi - 4.0, rel=1e-14)
+    assert pole_remainder(1, 0.0) == pytest.approx(-math.pi**2 / 3.0, rel=1e-14)
     # odd in z, so even-order derivatives flip sign and odd-order ones keep it
-    assert zeta_deriv(0, -0.25) == pytest.approx(4.0 - math.pi, rel=1e-14)
-    assert zeta_deriv(1, -0.3) == pytest.approx(zeta_deriv(1, 0.3), rel=1e-14)
+    assert pole_remainder(0, -0.25) == pytest.approx(4.0 - math.pi, rel=1e-14)
+    assert pole_remainder(1, -0.3) == pytest.approx(pole_remainder(1, 0.3), rel=1e-14)
 
 
 def test_pole_remainder_branches_overlap():
-    # both branches are accurate on this region, so they must agree; the
-    # recurrence sheds (i+1) log10((1-z)/z) digits near 0, hence the split
-    for i in range(4):
-        for z in (0.15, 0.3, 0.6, 0.9):
-            a = _zeta_deriv_series(i, z)
-            b = _zeta_deriv_recurrence(i, z)
-            assert abs(a - b) <= 5e-12 * abs(a), (i, z)
-    for i in range(11):
-        for z in (0.35, 0.6, 0.8):
-            a = _zeta_deriv_series(i, z)
-            b = _zeta_deriv_recurrence(i, z)
-            assert abs(a - b) <= 1e-12 * abs(a), (i, z)
+    # both jet branches, the re-centred origin series below |z| = 1/2 and
+    # direct division above, against mpmath derivatives of the definition
+    mp.mp.dps = 40
+
+    def remainder(z):
+        return mp.pi * mp.cot(mp.pi * z) - 1 / z
+
+    for z in (0.15, 0.3, 0.45, 0.499, 0.5, 0.501, 0.6, 0.9, -0.35, -0.7):
+        for i in range(11):
+            ref = float(mp.diff(remainder, mp.mpf(z), i))
+            assert abs(pole_remainder(i, z) - ref) <= 1e-13 * abs(ref), (i, z)
 
 
 def test_pole_remainder_matches_lattice_fold():
-    # same object through a different engine: the twist-free two-sided
-    # power sums T_{i+1}(z) = sum_{k != 0} (z-k)^-(i+1)
-    for i in (0, 1, 2, 5, 10, 25, 60):
-        for z in (0.05, 0.2, 0.45, 0.49, -0.05, -0.2, -0.45, -0.49):
-            ref = (-1.0) ** i * math.factorial(i) * lattice_tail_values(z, i + 1, 0.0)[i]
-            got = zeta_deriv(i, z)
-            assert abs(got - ref.real) <= 1e-11 * abs(ref), (i, z)
+    # the band rows are folded in one call; each row must come out as if
+    # it had been folded alone, for twist 0 and a twisted lattice alike.
+    # Re-centred rows (|z| < 1/2) sum the same terms in the same order;
+    # direct division reduces over a different batch shape.
+    z = np.array([0.05, 0.2, 0.45, 0.49, -0.05, -0.2, -0.45, -0.49,
+                  0.0, 0.5, -0.5, 0.7, -0.93])
+    for twist in (0.0, 0.31):
+        together = lattice_tail_values(z, 64, twist)
+        for r, zr in enumerate(z):
+            alone = lattice_tail_values(zr, 64, twist)
+            if abs(zr) < 0.5:
+                assert np.array_equal(together[r], alone), (twist, zr)
+            else:
+                assert np.all(np.abs(together[r] - alone) <= 5e-14 * np.abs(alone))
+    # a scalar keeps the one-row shape
+    assert lattice_tail_values(0.2, 5, 0.0).shape == (5,)
+    assert lattice_tail_values(z.reshape(13, 1), 5, 0.0).shape == (13, 1, 5)
 
 
 @given(st.integers(min_value=0, max_value=40),
        st.floats(min_value=0.02, max_value=0.95))
 @settings(max_examples=60, deadline=None)
 def test_pole_remainder_parity(i, z):
-    assert zeta_deriv(i, -z) == pytest.approx(
-        (-1.0) ** (i + 1) * zeta_deriv(i, z), rel=1e-10)
+    assert pole_remainder(i, -z) == pytest.approx(
+        (-1.0) ** (i + 1) * pole_remainder(i, z), rel=1e-10)
 
 
 def test_pole_remainder_domain_errors():
     for bad in (1.0, -1.0, 1.5):
         with pytest.raises(ValueError, match="z"):
-            zeta_deriv(0, bad)
+            pole_remainder(0, bad)
+    with pytest.raises(ValueError, match="z"):
+        lattice_tail_values(np.array([0.2, 1.0]), 3, 0.0)
     with pytest.raises(ValueError):
-        zeta_deriv(-1, 0.5)
+        lattice_tail_values(0.5, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,34 @@ def test_nufft_eval_and_project_vs_brute(N, L):
     assert np.max(np.abs(got_p - brute_p)) < 1e-12 * np.max(np.abs(brute_p))
 
 
+def _phase_ld(k, t):
+    # e^(2 pi j k t) with k t reduced mod 1 in extended precision
+    cyc = (np.asarray(k, dtype=np.longdouble) * np.asarray(t, dtype=np.longdouble)) % 1
+    return np.exp(2j * np.pi * cyc.astype(float))
+
+
+def test_nufft_large_set_offsets_are_exact():
+    # at this size a point offset rounded in t units (about 1e-16) is a
+    # phase error of 2 pi k 1e-16 at the band edge: both directions then
+    # miss the direct sum by 2e-11 to 1e-10.  Negative points used to be
+    # reduced mod 1 first, which rounds as well.
+    N = 16385
+    s = di.make_index_set(N, N // 2)
+    ks = np.asarray(s.indices)
+    rng = np.random.default_rng(1)
+    t = np.sort(rng.uniform(-0.5, 1.0, 2 * N + 1))
+    probe_k = np.concatenate([ks[:3], ks[-3:], rng.choice(ks, 4)])
+    v = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    ref = _phase_ld(-probe_k[:, None], t[None, :]) @ v
+    got = _nufft.nufft_project(t, v, s)[probe_k - ks[0]]
+    assert np.max(np.abs(got - ref)) < 2.5e-11 * np.max(np.abs(ref))
+    probe_t = np.concatenate([t[:3], t[-3:], rng.choice(t, 4)])
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    ref = _phase_ld(probe_t[:, None], ks[None, :]) @ c
+    got = _nufft.nufft_eval(probe_t, c, s)
+    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+
+
 def test_nufft_adjoint_pairing():
     s = di.make_index_set(33, 16)
     rng = np.random.default_rng(23)
