@@ -60,21 +60,32 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
 
     Entry ((i,u),(j,v)) sums e^(j2pi m (xi_j - xi_i)) (m/r)^-(u+v+2) over
     every integer m outside the output band, evaluated analytically so
-    no truncation enters.  Hermitian by construction.
+    no truncation enters.  Exactly Hermitian: the diagonal blocks share
+    one real phase-0 sum, each block above the diagonal takes one sum,
+    and block (j, i) is the conjugate transpose of block (i, j).
     """
     R = fact.rows
     band = fact.spec.output_set.indices
     pieces = fact.pieces
     n = len(pieces) * R
     G = np.empty((n, n), dtype=np.complex128)
+    if not pieces:
+        return G
     orders = np.arange(R)
+    # sums[s-2] holds power s; entry (u,v) needs s = u + v + 2
+    powers = orders[:, None] + orders[None, :]
+
+    def block(delta):
+        sums = lat.band_complement_power_sums(2 * R, band, delta, scale=fact.row_radius)
+        return sums[powers]
+
+    diag = block(0.0)
     for i, pi in enumerate(pieces):
-        for j, pj in enumerate(pieces):
-            sums = lat.band_complement_power_sums(
-                2 * R, band, pj.xi - pi.xi, scale=fact.row_radius)
-            # sums[s-2] holds power s; entry (u,v) needs s = u + v + 2
-            G[i * R:(i + 1) * R, j * R:(j + 1) * R] = \
-                sums[orders[:, None] + orders[None, :]]
+        G[i * R:(i + 1) * R, i * R:(i + 1) * R] = diag
+        for j in range(i + 1, len(pieces)):
+            upper = block(pieces[j].xi - pi.xi)
+            G[i * R:(i + 1) * R, j * R:(j + 1) * R] = upper
+            G[j * R:(j + 1) * R, i * R:(i + 1) * R] = upper.conj().T
     return G
 
 

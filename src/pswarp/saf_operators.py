@@ -28,7 +28,6 @@ from .dense_oracle import tail_row_indices
 from .domain_indexing import DomainSpec
 from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _resolve_b
 
-K_TAIL_DEFAULT = 8
 ROW_ORDER_CAP = 64
 
 
@@ -38,38 +37,36 @@ ROW_ORDER_CAP = 64
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Row/column bases of the tail factorization plus their lattice fold.
+    """The bases the corrected operators use: column moments and row fold.
 
     V: (R, N) column moments n^k, scaled so each row peaks at 1 on the
        wide edge of the input set.
-    Y: (tail, R) inverse powers of the out-of-band row index, scaled by
-       the effective output half-bandwidth.
-    U: (M_band, R) closed-form fold of the Y columns over the full row
-       lattice, valid when every jump sits on the output sample lattice:
-       the twist-0 case ((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, 1) of the
-       shared lattice fold, real.  build_factorization folds with the
-       jump's phase twist otherwise.
+    U: (M_band, R) closed-form fold over the full row lattice of the
+       tail row basis (m / row_radius)^-(i+1), valid when every jump sits
+       on the output sample lattice: the twist-0 case
+       ((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, 1) of the shared lattice fold,
+       real.  build_factorization folds with the jump's phase twist
+       otherwise.  The tail rows themselves are formed only on demand, by
+       TailFactorization.tail_rows.
     """
 
     V: np.ndarray
-    Y: np.ndarray
     U: np.ndarray
-    k_tail: int
-    tail_indices: np.ndarray
 
 
 def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
     """((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, q) on every band row m, i < R.
 
-    The Y columns folded over the full row lattice with row phase
-    q = exp(j2pi twist), all band rows in one lattice_tail_values call.
+    The tail row basis (m / row_radius)^-(i+1) folded over the full row
+    lattice with row phase q = exp(j2pi twist), all band rows in one
+    lattice_tail_values call.
     """
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
     pref = ((1.0 - spec.output_set.mu) / 2.0) ** (np.arange(R) + 1.0)
     return pref * lattice_tail_values(ms / spec.M, R, twist)
 
 
-def build_bases(spec: DomainSpec, R: int, k_tail: int = K_TAIL_DEFAULT) -> BasisSet:
+def build_bases(spec: DomainSpec, R: int) -> BasisSet:
     if R > ROW_ORDER_CAP:
         raise ValueError(f"basis order capped at {ROW_ORDER_CAP}")
     if R < 1:
@@ -77,19 +74,11 @@ def build_bases(spec: DomainSpec, R: int, k_tail: int = K_TAIL_DEFAULT) -> Basis
     mu_M = spec.output_set.mu
     if mu_M >= 1.0:
         raise ValueError("output set fully one-sided; row basis scale degenerates")
-    M = spec.M
-    row_radius = 0.5 * M * (1.0 - mu_M)
     col_radius = 0.5 * spec.N * (1.0 + spec.input_set.mu)
-    orders = np.arange(R)
-
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
-    V = (ns[None, :] / col_radius) ** orders[:, None]
-
-    tails = tail_row_indices(spec, k_tail)
-    Y = (tails[:, None] / row_radius) ** -(orders[None, :] + 1.0)
-
+    V = (ns[None, :] / col_radius) ** np.arange(R)[:, None]
     U = _row_fold(spec, R, 0.0).real
-    return BasisSet(V=V, Y=Y, U=U, k_tail=int(k_tail), tail_indices=tails)
+    return BasisSet(V=V, U=U)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +95,6 @@ class JumpCorrection:
     U: np.ndarray  # (M_band, R) row-lattice fold, twisted when M*xi is fractional
     lattice_aligned: bool  # M*xi integral, so the row phase is a circular shift
     p_band: np.ndarray
-    p_tail: np.ndarray
     q: np.ndarray
 
 
@@ -122,13 +110,19 @@ class TailFactorization:
     J_min: float
     kernel_tol: float
 
-    @cached_property
-    def tail_rows(self) -> np.ndarray:
-        """Factored out-of-band rows on basis.tail_indices."""
-        shape = (self.basis.tail_indices.size, self.basis.V.shape[1])
-        out = np.zeros(shape, dtype=np.complex128)
+    def tail_rows(self, k_tail: int) -> np.ndarray:
+        """Factored out-of-band rows on tail_row_indices(spec, k_tail).
+
+        Row m is sum over jumps of e^(j2pi m xi) (m / row_radius)^-(i+1)
+        S V q; a diagnostic, formed only when asked for.
+        """
+        tails = tail_row_indices(self.spec, k_tail)
+        Y = (tails[:, None] / self.row_radius) ** -(np.arange(self.rows)[None, :] + 1.0)
+        V = self.basis.V
+        out = np.zeros((tails.size, V.shape[1]), dtype=np.complex128)
         for pc in self.pieces:
-            out += pc.p_tail[:, None] * (self.basis.Y @ pc.S @ self.basis.V) * pc.q[None, :]
+            p_tail = np.exp(2j * np.pi * tails * pc.xi)
+            out += p_tail[:, None] * (Y @ pc.S @ V) * pc.q[None, :]
         return out
 
     @cached_property
@@ -146,7 +140,6 @@ def _is_lattice_aligned(value: float) -> bool:
 
 
 def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
-                        k_tail: int = K_TAIL_DEFAULT,
                         kernel_tol: float = sk.KERNEL_TOL_DEFAULT,
                         max_level: int = sk.MAX_LEVEL_DEFAULT) -> TailFactorization:
     """Factor the out-of-band tail and its band fold through the jump kernels.
@@ -159,12 +152,11 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     b = _resolve_b(spec, b)
     bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol,
                              max_level=max_level)
-    basis = build_bases(spec, bundle.rows, k_tail)
+    basis = build_bases(spec, bundle.rows)
     return _assemble(spec, b, bundle, basis, {}, kernel_tol)
 
 
 def _reweighted_factorization(warp, fact: TailFactorization, b: float,
-                              k_tail: int = K_TAIL_DEFAULT,
                               kernel_tol: float = sk.KERNEL_TOL_DEFAULT,
                               max_level: int = sk.MAX_LEVEL_DEFAULT) -> TailFactorization:
     """fact's factorization at weight exponent b, on fact's rows.
@@ -175,11 +167,8 @@ def _reweighted_factorization(warp, fact: TailFactorization, b: float,
     spec = fact.spec
     bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=kernel_tol,
                              max_level=max_level)
-    basis = fact.basis
-    if basis.k_tail != k_tail:
-        basis = build_bases(spec, fact.rows, k_tail)
     folds = {pc.xi: pc.U for pc in fact.pieces}
-    return _assemble(spec, b, bundle, basis, folds, kernel_tol)
+    return _assemble(spec, b, bundle, fact.basis, folds, kernel_tol)
 
 
 def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
@@ -212,7 +201,6 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
             U=U,
             lattice_aligned=aligned,
             p_band=np.exp(2j * np.pi * ms * ker.xi),
-            p_tail=np.exp(2j * np.pi * basis.tail_indices * ker.xi),
             q=np.exp(-2j * np.pi * ns * ker.image),
         ))
 

@@ -15,6 +15,10 @@ polynomial gamma_{l,n}(k), with coefficients polynomial in the weight
 exponent b, counts how many differentiation paths reach that sequence.
 The gammas satisfy a first-order difference equation in k, solved exactly
 by Bernoulli-polynomial antidifferences, so the whole table is rational.
+gamma_tables holds it in one exact form, built directly in integers: per
+level one common denominator and per sequence an integer coefficient
+array in (b, k).  Numeric callers collapse b exactly per level
+(_collapse_b) and evaluate the k polynomials in floats.
 
 The one-sided jumps of D^i phi at a singularity feed the low-rank
 aliasing correction; the kernel matrix built here is its middle factor.
@@ -28,7 +32,7 @@ import math
 
 import numpy as np
 
-from ._ratpoly import RatPoly2
+from ._ratpoly import bernoulli_polynomial
 
 MAX_LEVEL_DEFAULT = 12
 KERNEL_TOL_DEFAULT = 1e-12
@@ -88,50 +92,78 @@ def enumerate_level(level: int) -> list:
     return seqs
 
 
+@dataclass(frozen=True, eq=False)
+class GammaLevel:
+    """gamma_{l,n} for every sequence n of one level, over one denominator.
+
+    num[n, i, j] / den is the coefficient of b^i k^j in gamma_{l,n}, with
+    i <= l and j <= 2l.  The entries are read-only Python ints, and den is
+    reduced against all of them.
+    """
+
+    seqs: tuple
+    den: int
+    num: np.ndarray  # (sequences, l + 1, 2l + 1), dtype object
+
+
+def _antidifference_matrix(degree: int) -> tuple:
+    """(den, A): the antidifference in k of k^m is sum_r A[m, r] k^r / den.
+
+    Rows m = 0 .. degree, columns r = 0 .. degree + 1; the antidifference
+    (B_{m+1}(k) - B_{m+1}(0)) / (m + 1) vanishes at k = 0, so column 0 is
+    zero.
+    """
+    rows = [[Fraction(0)] + [c / (m + 1) for c in bernoulli_polynomial(m + 1)[1:]]
+            + [Fraction(0)] * (degree - m)
+            for m in range(degree + 1)]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    A = np.array([[v.numerator * (den // v.denominator) for v in row] for row in rows],
+                 dtype=object)
+    return den, A
+
+
 @lru_cache(maxsize=None)
 def gamma_tables(max_level: int) -> tuple:
-    """Per-level lists of (Sequence, RatPoly2), exact.
+    """GammaLevel for levels 0 .. max_level, exact.
 
     The difference equation driving the table: differentiating a level-l
     term either hits the exponential/Dw-power blob (adding one part of
     size 1 with weight dw_shift + b + k - l) or one of the D^m w factors
     (growing a part by one with weight p_m).  Collecting every route into
     a level-(l+1) sequence gives its forward difference in k; the
-    antidifference with gamma(0) = 0 closes the level.
+    antidifference with gamma(0) = 0 closes the level.  In integers over
+    the level's denominator, the first route is two shifts and a scale,
+    the second a scale, and the antidifference one matrix product.
     """
-    levels = [[(Sequence(0, ()), RatPoly2.const(1))]]
-    b = RatPoly2.var_b()
-    k = RatPoly2.var_k()
+    num = np.ones((1, 1, 1), dtype=object)
+    num.flags.writeable = False
+    levels = [GammaLevel((Sequence(0, ()),), 1, num)]
     for level in range(max_level):
-        delta = {}
-        for seq, gamma in levels[level]:
-            # route 1: new factor D^2 w from the exponential and Dw powers
-            target = tuple(sorted(seq.parts + (1,), reverse=True))
-            r = b + k + RatPoly2.const(seq.dw_shift - level)
-            delta[target] = delta.get(target, RatPoly2()) + gamma * r
+        prev = levels[-1]
+        seqs = tuple(enumerate_level(level + 1))
+        row = {seq.parts: n for n, seq in enumerate(seqs)}
+        delta = np.zeros((len(seqs), level + 2, 2 * level + 2), dtype=object)
+        for seq, g in zip(prev.seqs, prev.num):
+            # route 1: new factor D^2 w from the exponential and Dw powers,
+            # weight b + k + dw_shift - l: a shift in b, a shift in k, a scale
+            d = delta[row[tuple(sorted(seq.parts + (1,), reverse=True))]]
+            d[1:, :-1] += g
+            d[:-1, 1:] += g
+            d[:-1, :-1] += (seq.dw_shift - level) * g
             # route 2: deepen one existing factor D^m w -> D^{m+1} w
             for j in sorted(set(seq.parts)):
                 grown = list(seq.parts)
                 grown.remove(j)
                 target = tuple(sorted(grown + [j + 1], reverse=True))
-                mult = seq.multiplicity(j + 1)
-                delta[target] = delta.get(target, RatPoly2()) + gamma * mult
-        nxt = []
-        for seq in enumerate_level(level + 1):
-            nxt.append((seq, delta[seq.parts].antidifference_k()))
-        levels.append(nxt)
-    return tuple(tuple(lv) for lv in levels)
-
-
-def gamma_level(level: int, max_level: int = None) -> list:
-    """[(Sequence, RatPoly2)] for one level."""
-    top = level if max_level is None else max_level
-    return list(gamma_tables(max(top, level))[level])
-
-
-def antidifference(poly: RatPoly2) -> RatPoly2:
-    """Exact antidifference in the order variable, zero at the origin."""
-    return poly.antidifference_k()
+                delta[row[target], :-1, :-1] += seq.multiplicity(j + 1) * g
+        den_a, A = _antidifference_matrix(2 * level + 1)
+        num = delta @ A
+        den = prev.den * den_a
+        common = math.gcd(den, *num.ravel().tolist())
+        num //= common
+        num.flags.writeable = False
+        levels.append(GammaLevel(seqs, den // common, num))
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +189,10 @@ def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int,
     if level > max_level:
         raise ValueError(f"level {level} beyond table depth {max_level}")
     jets = warp.side_jets(x, level + 1, side)
-    bq = Fraction(b)
-    total = 0.0
-    for seq, gamma in gamma_tables(max_level)[level]:
-        g = float(gamma.eval(bq, k))
-        if g:
-            total += _beta_value(jets, seq, b) * g
-    return total
+    table = gamma_tables(max_level)[level]
+    g = _gamma_values(_collapse_b(table, b), np.array([float(k)]))[:, 0]
+    beta = np.array([_beta_value(jets, seq, b) for seq in table.seqs])
+    return float(beta @ g)
 
 
 def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
@@ -189,60 +218,34 @@ def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
 # exact collapse of the b powers
 
 
-@lru_cache(maxsize=None)
-def _integer_tables(max_level: int) -> tuple:
-    """gamma_tables(max_level) over one common denominator per k power.
+def _collapse_b(table: GammaLevel, b: float) -> np.ndarray:
+    """One level's k coefficients at this b, correctly rounded.
 
-    Returns (top, levels): per level and sequence, one (den, nums) pair
-    per k power j, with the gamma's coefficient of b^i k^j equal to
-    nums[i] / den exactly; top is the highest b power in the tables.
-    """
-    top = 0
-    out = []
-    for level in gamma_tables(max_level):
-        rows = []
-        for seq, gamma in level:
-            cols = []
-            for col in gamma.k_coefficients():
-                den = math.lcm(*(v.denominator for v in col.values()))
-                nums = [0] * (max(col, default=-1) + 1)
-                for i, v in col.items():
-                    nums[i] = v.numerator * (den // v.denominator)
-                top = max(top, len(nums) - 1)
-                cols.append((den, tuple(nums)))
-            rows.append((seq, tuple(cols)))
-        out.append(tuple(rows))
-    return top, tuple(out)
-
-
-def _collapse_b(max_level: int, b: float) -> list:
-    """Per level, (sequences, k coefficients at this b), correctly rounded.
-
-    The coefficients come as one (sequences, max k power + 1) matrix in
-    ascending k powers, zero-padded.  b is a float, so b = m / 2^e
-    exactly.  Each k coefficient sum_i (nums[i] / den) (m / 2^e)^i is one
-    exact integer ratio over den 2^(e D), with D the top b power of the
-    tables, rounded once by int / int division: the same floats as
+    Returns a (sequences, 2l + 1) matrix in ascending k powers.  b is a
+    float, so b = m / 2^e exactly.  Each k coefficient
+    sum_i (num[i] / den) (m / 2^e)^i is one exact integer ratio over
+    den 2^(e l), rounded once by int / int division: the same floats as
     collapsing through Fraction.
     """
-    top, levels = _integer_tables(max_level)
     m, two_e = float(b).as_integer_ratio()
     shift = two_e.bit_length() - 1
-    bpow = [m**i << (shift * (top - i)) for i in range(top + 1)]
-    out = []
-    for level in levels:
-        seqs = tuple(seq for seq, _ in level)
-        width = max(len(cols) for _, cols in level)
-        coef = np.zeros((len(seqs), width))
-        for row, (_, cols) in enumerate(level):
-            for j, (den, nums) in enumerate(cols):
-                acc = 0
-                for n, p in zip(nums, bpow):
-                    if n:
-                        acc += n * p
-                coef[row, j] = acc / (den << (shift * top))
-        out.append((seqs, coef))
-    return out
+    top = table.num.shape[1] - 1
+    bpow = np.array([m**i << (shift * (top - i)) for i in range(top + 1)],
+                    dtype=object)
+    acc = (table.num * bpow[:, None]).sum(axis=1)
+    return (acc / (table.den << (shift * top))).astype(np.float64)
+
+
+def _gamma_values(coef: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """gamma_{l,n}(k) for every sequence n and every order k in ks.
+
+    Horner from the top k power: the same operations per entry as
+    evaluating one polynomial at a time.
+    """
+    g = np.zeros((coef.shape[0], ks.size))
+    for j in range(coef.shape[1] - 1, -1, -1):
+        g = g * ks + coef[:, j, None]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +327,9 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         raise ValueError("R must be >= 1")
 
     # levels past R - 1 pair with no (row, column) of S
-    levels = _collapse_b(max_level, b)[:R]
+    levels = gamma_tables(max_level)[:R]
     rows = np.arange(R, dtype=np.float64)
-    # gamma_{l,n}(i) at every row i: Horner from the top k power, the same
-    # operations per entry as evaluating one polynomial at a time
-    gammas = []
-    for seqs, coef in levels:
-        g = np.zeros((len(seqs), R))
-        for j in range(coef.shape[1] - 1, -1, -1):
-            g = g * rows + coef[:, j, None]
-        gammas.append(g)
+    gammas = [_gamma_values(_collapse_b(table, b), rows) for table in levels]
     scale = -1j * math.pi * M * (1.0 - spec.output_set.mu)  # -2j pi row_radius
 
     kernels = []
@@ -346,9 +342,9 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         # S[i, k] pairs level i - k; levels past max_level are dropped,
         # suppressed by scale^(k-i-1) far below tol
         S = np.zeros((R, R), dtype=np.complex128)
-        for level, ((seqs, _), g) in enumerate(zip(levels, gammas)):
-            bp = np.array([_beta_value(jets_p, seq, b) for seq in seqs])
-            bm = np.array([_beta_value(jets_m, seq, b) for seq in seqs])
+        for level, (table, g) in enumerate(zip(levels, gammas)):
+            bp = np.array([_beta_value(jets_p, seq, b) for seq in table.seqs])
+            bm = np.array([_beta_value(jets_m, seq, b) for seq in table.seqs])
             # alpha_{i,level}: summed over the sequences in table order
             ap = np.add.accumulate(bp[:, None] * g, axis=0)[-1]
             am = np.add.accumulate(bm[:, None] * g, axis=0)[-1]
@@ -381,18 +377,61 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
 def tables_as_json(max_level: int = 4) -> dict:
     """Level tables with exact rational polynomial strings."""
     out = {"levels": []}
-    for level in range(max_level + 1):
+    for level, table in enumerate(gamma_tables(max_level)):
         entries = []
-        for n, (seq, gamma) in enumerate(gamma_tables(max_level)[level], start=1):
+        for n, (seq, num) in enumerate(zip(table.seqs, table.num), start=1):
             entries.append(
                 {
                     "index": n,
                     "derivative_factors": list(seq.factor_orders()),
                     "dw_exponent_shift": seq.dw_shift,
-                    "polynomial": gamma.to_string(),
+                    "polynomial": _poly_string(table.den, num),
                 }
             )
         out["levels"].append({"level": level, "sequences": entries})
+    return out
+
+
+def _poly_string(den: int, num: np.ndarray) -> str:
+    """Exact form of sum_ij num[i, j] b^i k^j / den, descending k powers.
+
+    Examples: "1/2 k^2 + (b - 1/2) k", "0", "b - 1/2".
+    """
+    parts = []
+    for j in range(num.shape[1] - 1, -1, -1):
+        bcoef = {i: Fraction(v, den) for i, v in enumerate(num[:, j]) if v}
+        if not bcoef:
+            continue
+        ks = _power("k", j)
+        if len(bcoef) == 1:
+            # a single b power: its sign can be pulled out
+            (i, v), = bcoef.items()
+            parts.append((v < 0, _join_coef(abs(v), f"{_power('b', i)} {ks}".strip())))
+        else:
+            inner = _signed_sum([(v < 0, _join_coef(abs(v), _power("b", i)))
+                                 for i, v in sorted(bcoef.items(), reverse=True)])
+            parts.append((False, f"({inner}) {ks}" if ks else inner))
+    return _signed_sum(parts) if parts else "0"
+
+
+def _power(name: str, p: int) -> str:
+    return "" if p == 0 else (name if p == 1 else f"{name}^{p}")
+
+
+def _join_coef(frac, suffix):
+    if not suffix:
+        return str(frac)
+    if frac == 1:
+        return suffix
+    return f"{frac} {suffix}"
+
+
+def _signed_sum(parts) -> str:
+    """Join (negative, text) terms with their signs."""
+    (neg0, text0), rest = parts[0], parts[1:]
+    out = ("-" + text0) if neg0 else text0
+    for neg, text in rest:
+        out += (" - " if neg else " + ") + text
     return out
 
 

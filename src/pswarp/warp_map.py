@@ -258,19 +258,10 @@ class WarpMap:
         exactly only under this convention; plain one-sided sampling leaves
         a rank-one defect of half the jump divided by the grid size.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x).astype(float)
-        out = self.deriv1(xv) ** b
-        for xi in self.singularities:
-            lp = float(self.side_jets(xi, 1, "left")[1])
-            rp = float(self.side_jets(xi, 1, "right")[1])
-            if abs(lp - rp) <= JET_MATCH_TOL * max(1.0, abs(lp), abs(rp)):
-                continue
-            hit = np.abs((xv - xi + 0.5) % 1.0 - 0.5) <= 1e-12
-            if hit.any():
-                out[hit] = 0.5 * (lp**b + rp**b)
-        return float(out[0]) if scalar else out
+        jumps = [(xi, float(self.side_jets(xi, 1, "left")[1]),
+                  float(self.side_jets(xi, 1, "right")[1]))
+                 for xi in self.singularities]
+        return _sampled_weight(x, b, self.deriv1, jumps)
 
     # -- misc ----------------------------------------------------------------
 
@@ -341,19 +332,30 @@ class InverseMap:
 
     def sampled_weight(self, y, b):
         """(Dv)^b on a sample grid, one-sided mean at jumps (cf. WarpMap)."""
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        yv = np.atleast_1d(y).astype(float)
-        out = self.deriv1(yv) ** b
-        for eta, xi in self._sing_pairs:
-            lp = 1.0 / float(self.source.side_jets(xi, 1, "left")[1])
-            rp = 1.0 / float(self.source.side_jets(xi, 1, "right")[1])
-            if abs(lp - rp) <= 1e-10 * max(1.0, abs(lp), abs(rp)):
-                continue
-            hit = np.abs((yv - eta + 0.5) % 1.0 - 0.5) <= 1e-12
-            if hit.any():
-                out[hit] = 0.5 * (lp**b + rp**b)
-        return float(out[0]) if scalar else out
+        jumps = [(eta, 1.0 / float(self.source.side_jets(xi, 1, "left")[1]),
+                  1.0 / float(self.source.side_jets(xi, 1, "right")[1]))
+                 for eta, xi in self._sing_pairs]
+        return _sampled_weight(y, b, self.deriv1, jumps)
+
+
+def _sampled_weight(x, b, deriv1, jumps):
+    """deriv1(x)^b on sample points, the one-sided mean of slope^b at jumps.
+
+    jumps lists (position, left slope, right slope).  A point within
+    1e-12 of a position, mod 1, whose slopes differ beyond JET_MATCH_TOL
+    takes 0.5 (left^b + right^b).
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xv = np.atleast_1d(x).astype(float)
+    out = deriv1(xv) ** b
+    for pos, lp, rp in jumps:
+        if abs(lp - rp) <= JET_MATCH_TOL * max(1.0, abs(lp), abs(rp)):
+            continue
+        hit = np.abs((xv - pos + 0.5) % 1.0 - 0.5) <= 1e-12
+        if hit.any():
+            out[hit] = 0.5 * (lp**b + rp**b)
+    return float(out[0]) if scalar else out
 
 
 # -- validation ---------------------------------------------------------------

@@ -17,8 +17,8 @@ from pswarp.dual_operators import (
     stacked_blocks,
     tail_row_gram,
 )
+from pswarp import _lattice as lat
 from pswarp.saf_operators import (
-    build_bases,
     build_factorization,
     build_W_f,
     build_W_t,
@@ -47,16 +47,6 @@ def _exp_time():
 def _pl_freq():
     w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.27, 0.66])
     return w, domain_spec(w, 33, 67, b=0.5)
-
-
-def _windowed_tails(fact, k_tail):
-    """Factored out-of-band rows over a finite window of shells."""
-    basis = build_bases(fact.spec, fact.rows, k_tail=k_tail)
-    rows = np.zeros((basis.tail_indices.size, fact.spec.N), dtype=complex)
-    for pc in fact.pieces:
-        phase = np.exp(2j * np.pi * basis.tail_indices * pc.xi)
-        rows += phase[:, None] * (basis.Y @ pc.S @ basis.V) * pc.q[None, :]
-    return rows
 
 
 def _richardson(levels):
@@ -96,7 +86,7 @@ def test_gram_hermitian_and_matches_windowed_sums():
     # sandwich exercises the block stacking too
     levels = []
     for K in (256, 512, 1024, 2048):
-        E = _windowed_tails(fact, K)
+        E = fact.tail_rows(K)
         levels.append(E.conj().T @ E)
     ref = _richardson(levels)
     assert np.max(np.abs(H.conj().T @ G @ H - ref)) < 1e-12
@@ -111,10 +101,34 @@ def test_gram_multi_singularity_cross_phases():
     assert np.max(np.abs(G - G.conj().T)) < 1e-10
     levels = []
     for K in (256, 512, 1024, 2048):
-        E = _windowed_tails(fact, K)
+        E = fact.tail_rows(K)
         levels.append(E.conj().T @ E)
     ref = _richardson(levels)
     assert np.max(np.abs(H.conj().T @ G @ H - ref)) < 1e-10
+
+
+def test_gram_exactly_hermitian_with_one_sum_per_phase_difference(monkeypatch):
+    # three jumps: one shared phase-0 sum for the diagonal blocks and one
+    # per pair above it, the blocks below filled by conjugation
+    w, spec = _pl_freq()
+    fact = build_factorization(w, spec, 0.5)
+    calls = []
+    real_sums = lat.band_complement_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real_sums(*args, **kwargs)
+
+    monkeypatch.setattr(lat, "band_complement_power_sums", counted)
+    G = tail_row_gram(fact)
+    assert len(calls) == 4
+    assert np.array_equal(G, G.conj().T)
+    # against every ordered pair summed on its own
+    R, band = fact.rows, spec.output_set.indices
+    orders = np.arange(R)
+    ref = np.block([[real_sums(2 * R, band, pj.xi - pi.xi, scale=fact.row_radius)[
+        orders[:, None] + orders[None, :]] for pj in fact.pieces] for pi in fact.pieces])
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_identity_map_has_empty_compression():

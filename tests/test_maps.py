@@ -196,6 +196,25 @@ def test_sampled_weight_inverse_map():
     assert got[0] == pytest.approx(0.5 * (lp**b + rp**b), rel=1e-13)
 
 
+def test_sampled_weight_inverse_map_at_every_jump_image():
+    # jump images off the origin (0.55, 0.75) take the one-sided mean of
+    # (Dv)^b too; every other sample is the plain power
+    w = MAPS["piecewise_linear"]
+    inv = w.inverse()
+    b = 0.3
+    y = np.arange(20) / 20.0
+    got = inv.sampled_weight(y, b)
+    on = np.zeros(y.size, dtype=bool)
+    for xi in w.singularities:
+        r = round(float(w.eval(xi) % 1.0) * 20)
+        on[r] = True
+        lp = 1.0 / w.side_jets(xi, 1, "left")[1]
+        rp = 1.0 / w.side_jets(xi, 1, "right")[1]
+        assert got[r] == pytest.approx(0.5 * (lp**b + rp**b), rel=1e-14)
+    assert on.sum() == 3
+    np.testing.assert_allclose(got[~on], inv.deriv1(y[~on]) ** b, rtol=1e-14)
+
+
 def test_sampled_weight_off_lattice_knots_untouched():
     w = MAPS["piecewise_linear"]
     x = (np.arange(19) + 0.25) / 19.0  # misses 0, 0.35, 0.6
