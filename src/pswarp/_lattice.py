@@ -3,7 +3,7 @@
 Two families feed the aliasing resummation and the dual-frame Gram:
 
   T_s(z, q) = sum_{k != 0} q^k (z - k)^(-s),   |q| = 1, |z| < 1,
-  L_s(d)    = sum_{m != 0} exp(j2pi m d) m^(-s),  s >= 2.
+  C_s(d)    = sum_{m outside a band} exp(j2pi m d) (m/r)^(-s),  s >= 2.
 
 T_s comes from the Taylor jet of the pole-removed generating function
 
@@ -12,9 +12,11 @@ T_s comes from the Taylor jet of the pole-removed generating function
 with the untwisted case replaced by pi cot(pi z) - 1/z so that the
 conditionally convergent s = 1 sum carries its symmetric (principal
 value) meaning; this is the regularization under which the aliasing fold
-of the tail expansion converges row by row.  L_s collapses to a Bernoulli
-polynomial.  Everything here is float closed form: no arbitrary
-precision, no lattice truncation.
+of the tail expansion converges row by row.  It is float closed form: no
+arbitrary precision, no lattice truncation.  C_s, the Gram's sums over
+the band complement, takes its low powers from a factorial-series
+resummation (Hurwitz zeta when the phase is trivial) and its high powers
+from direct summation until the terms drop below double precision.
 """
 
 import math
@@ -23,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from ._jets import jet_div
-from ._ratpoly import bernoulli_polynomial
 
 TWO_PI_J = 2j * math.pi
 
@@ -143,27 +144,6 @@ def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
         raise ValueError("need at least one power s >= 1")
     c = unit_lattice_jets(z0, s_max - 1, twist)
     return (-1.0) ** np.arange(s_max) * c
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_poly_floats(s: int) -> tuple:
-    return tuple(float(v) for v in bernoulli_polynomial(s))
-
-
-def full_lattice_power_sum(s: int, delta: float) -> complex:
-    """sum_{m != 0} exp(j2pi m delta) m^(-s) for s >= 2, exactly.
-
-    Equal to -(j2pi)^s B_s({delta}) / s! by the Fourier expansion of the
-    periodized Bernoulli polynomial.
-    """
-    if s < 2:
-        raise ValueError("full-lattice sum converges only for s >= 2")
-    frac = float(delta) % 1.0
-    coeffs = _bernoulli_poly_floats(s)
-    val = 0.0
-    for c in reversed(coeffs):
-        val = val * frac + c
-    return -(TWO_PI_J**s) * val / math.factorial(s)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """Exact Bernoulli numbers and polynomials.
 
-symbolic_kernel builds its antidifference matrix from them and _lattice
-its origin series.  Everything here is Fraction-exact; floats only appear
+symbolic_kernel builds the antidifference matrix of its gamma tables
+from them.  Everything here is Fraction-exact; floats only appear
 when a caller asks for a numeric value.
 """
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _lattice as lat
 from . import saf_operators as saf
-from . import swf_operators as swf
 from .domain_indexing import DomainSpec
 from .saf_operators import TailFactorization
 from .swf_operators import (
@@ -28,6 +27,7 @@ from .swf_operators import (
     _require_swf_feasible,
     _require_tw,
     _resolve_b,
+    _to_time,
 )
 
 __all__ = [
@@ -173,11 +173,7 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     """
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b
-    if fact is None:
-        fact = saf.build_factorization(warp, spec, b, **factor_kw)
-    elif fact.spec is not spec or fact.b != b:
-        raise ValueError("factorization was built for a different spec or "
-                         "weight exponent")
+    fact = saf._factorization(warp, spec, b, fact, factor_kw)
     if fact_dual is None:
         # on fact's rows: mixed-kernel products need matching block sizes
         kw = {k: v for k, v in factor_kw.items() if k != "R"}
@@ -221,9 +217,10 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None,
              **factor_kw) -> OperatorMatrix:
     """Exact dual of the corrected time-domain interpolator.
 
-    Same compressed correction as the frequency dual, conjugated into
-    sample coordinates by the input-side unitary transform pair.  Real
-    for symmetric index sets, like the forward interpolator.
+    The conjugate-weight W_t times the frequency dual's correction
+    factor taken to sample coordinates by the input-side DFT
+    conjugation (_to_time on the input set).  Exactly real, like the
+    forward interpolator.
     """
     b = _resolve_b(spec, b)
     _require_tw(spec)
@@ -234,14 +231,7 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None,
     if dfact.H.size == 0:
         entries = base.entries
     else:
-        N = spec.N
-        sandwich = dfact.H.conj().T @ dfact.Z @ dfact.H_dual
-        synth = saf._synthesis_matrix(N, spec.input_set)
-        analysis = saf._analysis_matrix(N, spec.input_set)
-        factor = np.eye(N, dtype=np.complex128) \
-            + synth @ np.conj(sandwich) @ analysis
-        entries = base.entries @ factor
-        if spec.input_set.symmetric and spec.output_set.symmetric:
-            entries = entries.real.astype(np.complex128)
+        factor = _to_time(dfact.correction_factor(), spec.input_set, spec.input_set)
+        entries = (base.entries @ factor).real.astype(np.complex128)
     return OperatorMatrix(kind="dual_time", b=dfact.b_dual, spec=spec,
                           entries=entries, correction=dfact)

@@ -26,7 +26,7 @@ from . import symbolic_kernel as sk
 from ._lattice import lattice_tail_values
 from .dense_oracle import tail_row_indices
 from .domain_indexing import DomainSpec
-from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _resolve_b
+from .swf_operators import OperatorMatrix, _resolve_b, _to_time
 
 ROW_ORDER_CAP = 64
 
@@ -93,7 +93,7 @@ class JumpCorrection:
     image: float  # map value at the jump, mod 1
     S: np.ndarray
     U: np.ndarray  # (M_band, R) row-lattice fold, twisted when M*xi is fractional
-    lattice_aligned: bool  # M*xi integral, so the row phase is a circular shift
+    lattice_aligned: bool  # M*xi integral, so the fold is the untwisted basis.U
     p_band: np.ndarray
     q: np.ndarray
 
@@ -231,6 +231,17 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
 # corrected operators
 
 
+def _factorization(warp, spec: DomainSpec, b: float,
+                   fact: TailFactorization, factor_kw: dict) -> TailFactorization:
+    """fact checked against (spec, b), or a fresh build when fact is None."""
+    if fact is None:
+        return build_factorization(warp, spec, b, **factor_kw)
+    if fact.spec is not spec or fact.b != b:
+        raise ValueError("factorization was built for a different spec or "
+                         "weight exponent")
+    return fact
+
+
 def build_W_f(warp, spec: DomainSpec, b: float = None, *,
               factorization: TailFactorization = None,
               **factor_kw) -> OperatorMatrix:
@@ -241,81 +252,29 @@ def build_W_f(warp, spec: DomainSpec, b: float = None, *,
     with no derivative jumps.  A prebuilt factorization for the same
     spec and weight exponent can be passed to skip the kernel build.
     """
-    b = _resolve_b(spec, b)
-    _require_swf_feasible(spec)
-    fact = factorization
-    if fact is None:
-        fact = build_factorization(warp, spec, b, **factor_kw)
-    elif fact.spec is not spec or fact.b != b:
-        raise ValueError("factorization was built for a different spec or "
-                         "weight exponent")
     base = swf.swf_freq(warp, spec, b=b)
+    b = base.b
+    fact = _factorization(warp, spec, b, factorization, factor_kw)
     return OperatorMatrix(kind="saf_freq", b=b, spec=spec,
                           entries=base.entries - fact.band_fold,
                           correction=fact)
 
 
-def _synthesis_matrix(count: int, index_set) -> np.ndarray:
-    ks = np.asarray(index_set.indices, dtype=np.int64)
-    grid = np.arange(count) / count
-    return np.exp(2j * np.pi * np.outer(grid, ks)) / np.sqrt(count)
-
-
-def _analysis_matrix(count: int, index_set) -> np.ndarray:
-    ks = np.asarray(index_set.indices, dtype=np.int64)
-    grid = np.arange(count) / count
-    return np.exp(-2j * np.pi * np.outer(ks, grid)) / np.sqrt(count)
-
-
-def _time_correction(fact: TailFactorization) -> np.ndarray:
-    """Transform of the conjugate band fold into sample coordinates.
-
-    The jump phases are diagonal in the band indices; when the jump and
-    its image land on the sample lattices they become circular shifts of
-    the transformed bases, which are computed once.  Fractional
-    positions keep the exact diagonal instead.
-    """
-    spec = fact.spec
-    M, N = spec.M, spec.N
-    synth = _synthesis_matrix(M, spec.output_set)
-    analysis = _analysis_matrix(N, spec.input_set)
-    base_left = synth @ np.conj(fact.basis.U)
-    base_right = fact.basis.V @ analysis
-    out = np.zeros((M, N), dtype=np.complex128)
-    for pc in fact.pieces:
-        if pc.lattice_aligned:
-            left = np.roll(base_left, int(round(M * pc.xi)), axis=0)
-        else:
-            left = synth @ (np.conj(pc.p_band)[:, None] * np.conj(pc.U))
-        d = N * pc.image
-        if _is_lattice_aligned(d):
-            right = np.roll(base_right, int(round(d)), axis=1)
-        else:
-            right = (fact.basis.V * np.conj(pc.q)[None, :]) @ analysis
-        out += left @ np.conj(pc.S) @ right
-    return out
-
-
 def build_W_t(warp, spec: DomainSpec, b: float = None, *,
               factorization: TailFactorization = None,
               **factor_kw) -> OperatorMatrix:
-    """Time-domain interpolator with the transformed aliasing subtracted.
+    """Time-domain interpolator with the aliasing fold subtracted.
 
-    Time-warping geometry only.  With symmetric index sets the corrected
-    matrix is exactly real, like the uncorrected one.
+    Time-warping geometry only.  The time-domain twin of build_W_f:
+    swf_time minus the band fold taken to sample coordinates by the
+    same DFT conjugation that relates swf_time to swf_freq, so it equals
+    _to_time of the corrected frequency-domain operator.  Exactly real,
+    like the uncorrected interpolator.
     """
-    b = _resolve_b(spec, b)
-    _require_tw(spec)
-    _require_swf_feasible(spec)
-    fact = factorization
-    if fact is None:
-        fact = build_factorization(warp, spec, b, **factor_kw)
-    elif fact.spec is not spec or fact.b != b:
-        raise ValueError("factorization was built for a different spec or "
-                         "weight exponent")
     base = swf.swf_time(warp, spec, b=b)
-    entries = base.entries - _time_correction(fact)
-    if spec.input_set.symmetric and spec.output_set.symmetric:
-        entries = entries.real.astype(np.complex128)
+    b = base.b
+    fact = _factorization(warp, spec, b, factorization, factor_kw)
+    entries = base.entries - _to_time(fact.band_fold, spec.output_set, spec.input_set)
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
-                          entries=entries, correction=fact)
+                          entries=entries.real.astype(np.complex128),
+                          correction=fact)

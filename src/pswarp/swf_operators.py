@@ -1,29 +1,40 @@
-"""Sampled-warp operators: warped DFTs and warped interpolation matrices.
+"""Sampled-warp operators: one warped interpolator and its views.
 
-Sampling the warp on a uniform grid yields three matrix families:
+Sampling the warp w on the uniform grid t_q = q/M, q = 0..M-1, gives one
+matrix, the interpolator
 
-* ``warped_dft``: the weighted nonuniform Fourier matrix with entries
-  (Dw(m/M))^b e^{-j2pi k w(m/M)} / sqrt(M), frequencies k down the rows.
-* ``swf_freq``: the frequency-domain sampled operator; entry (m, n) is
-  the M-point sample average of (Dw)^b e^{j2pi(m t - n w(t))}. Its
-  columns aggregate the dense transform plus everything that folds back
-  into the output band, which is what the low-rank correction later
-  removes.
-* ``swf_time`` / ``swf_time_invmap``: time-domain interpolators. The
-  first evaluates the band-limited extension of the input at the warped
-  grid w(m/M) with weight (Dw)^b; the second plays the same game with
-  the inverse map, interpolating on the output band at v(n/N). Both are
-  Dirichlet-kernel closed forms and are real matrices on symmetric odd
-  domains, so real signals stay exactly real.
+    X(q, p) = (Dw(t_q))^b D(w(t_q) - p/N) / sqrt(MN),
+
+with D the Dirichlet kernel of the input frequency set: the band-limited
+extension of N input samples evaluated on the warped grid.  The dense
+operators are views of it:
+
+* ``swf_time``: X itself, time-warping geometry only.  The symmetric odd
+  domains of that mode make it exactly real, so real signals stay real.
+* ``swf_freq``: its frequency-domain twin, entry (m, n) = (1/M) sum_q
+  (Dw(t_q))^b e^{j2pi(m t_q - n w(t_q))}, which is the DFT conjugate
+  conj(F_M X F_N^dagger) with F the unitary DFT of each index set, for
+  any contiguous sets.  Its columns carry everything that folds back
+  into the output band, which the low-rank correction later removes.
+* ``warped_dft``: the weighted nonuniform Fourier matrix, entry (k, m) =
+  (Dw(t_m))^b e^{-j2pi k w(t_m)} / sqrt(M).
+* ``swf_time_invmap``: the same construction for the inverse map v on
+  the output band at v(p/N).
+
+``_to_time`` and ``_to_freq`` are the one change of coordinates between
+the two domains, A -> F_M^dagger conj(A) F_N and its inverse, done by
+the FFT pair the appliers use; the corrected operators and their duals
+cross over through them too.
 
 Grid points that land exactly on a derivative jump take the mean of the
 one-sided weights (WarpMap.sampled_weight); under this convention the
 periodic fold of the dense transform closes to machine precision.
 
-Every operator exists in two forms sharing one definition: a dense
-materialization (exact, used for norms) and a matrix-free applier that
-routes the nonuniform stage through the spreading FFT in ``_nufft``
-(agrees with dense to 1e-12, preferred when only products are needed).
+The ``apply_*`` functions are the matrix-free twins of the dense forms:
+the nonuniform stage goes through the spreading FFT in ``_nufft``, the
+uniform stages through the same FFT pair.  They agree with the dense
+matrices to 1e-12 (tested up to M = 511) and are preferred when only
+products are needed.
 """
 
 from dataclasses import dataclass
@@ -125,6 +136,71 @@ def _grid(count):
     return np.arange(count) / count
 
 
+def _sampled(warp, spec, b):
+    """(b, w(t_q), (Dw(t_q))^b) on the M-point grid, after the spec checks."""
+    b = _resolve_b(spec, b)
+    _require_swf_feasible(spec)
+    tau = _grid(spec.M)
+    return b, warp.eval(tau), warp.sampled_weight(tau, b)
+
+
+def _sampled_inverse(warp, spec, b, inverse):
+    """(b, v(p/N), (Dv(p/N))^b) for the inverse map v, time warping only."""
+    _require_tw(spec)
+    b = _resolve_b(spec, b)
+    _require_swf_feasible(spec)
+    v = warp.inverse() if inverse is None else inverse
+    y = _grid(spec.N)
+    return b, v.eval(y), v.sampled_weight(y, b)
+
+
+def _interpolator(warp, spec, b):
+    """(b, X), X the sampled interpolator of the module docstring, complex."""
+    b, wv, wt = _sampled(warp, spec, b)
+    args = wv[:, None] - _grid(spec.N)[None, :]
+    entries = wt[:, None] * dirichlet_kernel(args, spec.input_set)
+    return b, entries / np.sqrt(spec.M * spec.N)
+
+
+# ---------------------------------------------------------------------------
+# the DFT pair between the two domains
+
+
+def _uniform_synthesis(coeffs, index_set, axis=-1):
+    # sum_{k in set} c_k e^{2 pi j k q/N} for q = 0..N-1 along axis, N = |set|;
+    # grid bin q takes the set index congruent to q, at position (q + L) mod N
+    n = index_set.N
+    order = (np.arange(n) + index_set.L) % n
+    z = np.take(np.asarray(coeffs, dtype=complex), order, axis=axis)
+    return np.fft.ifft(z, axis=axis) * n
+
+
+def _uniform_analysis(values, index_set, axis=-1):
+    # sum_q x_q e^{-2 pi j k q/N} for k in the set, along axis, N = |set|
+    spectrum = np.fft.fft(np.asarray(values, dtype=complex), axis=axis)
+    return np.take(spectrum, index_set.indices % index_set.N, axis=axis)
+
+
+def _to_time(A, rows, cols):
+    """F_rows^dagger conj(A) F_cols, F the unitary DFT of an index set.
+
+    Takes A, indexed by the sets rows x cols, to its twin on the sample
+    grids of the same sizes.
+    """
+    half = np.conj(_uniform_synthesis(A, cols, axis=1))
+    return _uniform_synthesis(half, rows, axis=0) / np.sqrt(rows.N * cols.N)
+
+
+def _to_freq(B, rows, cols):
+    """conj(F_rows B F_cols^dagger), the inverse of _to_time."""
+    half = np.conj(_uniform_analysis(B, rows, axis=0))
+    return _uniform_analysis(half, cols, axis=1) / np.sqrt(rows.N * cols.N)
+
+
+# ---------------------------------------------------------------------------
+# dense operators
+
+
 def warped_dft(warp, spec, b=None, row_set=None) -> OperatorMatrix:
     """Weighted nonuniform Fourier matrix on the M-point warped grid.
 
@@ -132,15 +208,9 @@ def warped_dft(warp, spec, b=None, row_set=None) -> OperatorMatrix:
     run over row_set (the spec's output set by default). For the
     identity map this is the ordinary unitary DFT matrix.
     """
-    b = _resolve_b(spec, b)
-    _require_swf_feasible(spec)
+    b, wv, wt = _sampled(warp, spec, b)
     rows = spec.output_set if row_set is None else row_set
-    M = spec.M
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
-    ks = rows.indices
-    entries = np.exp(-2j * np.pi * np.outer(ks, wv)) * (wt / np.sqrt(M))[None, :]
+    entries = np.exp(-2j * np.pi * np.outer(rows.indices, wv)) * (wt / np.sqrt(spec.M))
     return OperatorMatrix("warped_dft", b, spec, entries)
 
 
@@ -148,19 +218,12 @@ def swf_freq(warp, spec, b=None) -> OperatorMatrix:
     """Frequency-domain sampled-warp operator.
 
     entry(m, n) = (1/M) sum_q (Dw(q/M))^b e^{j2pi(m q/M - n w(q/M))},
-    rows m over the output set, columns n over the input set.
+    rows m over the output set, columns n over the input set; formed as
+    the DFT conjugate of the sampled interpolator.
     """
-    b = _resolve_b(spec, b)
-    _require_swf_feasible(spec)
-    M = spec.M
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
-    ms = spec.output_set.indices
-    ns = spec.input_set.indices
-    left = np.exp(2j * np.pi * np.outer(ms, tau)) * wt[None, :]
-    right = np.exp(-2j * np.pi * np.outer(wv, ns))
-    return OperatorMatrix("swf_freq", b, spec, (left @ right) / M)
+    b, entries = _interpolator(warp, spec, b)
+    return OperatorMatrix("swf_freq", b, spec,
+                          _to_freq(entries, spec.output_set, spec.input_set))
 
 
 def swf_time(warp, spec, b=None) -> OperatorMatrix:
@@ -171,20 +234,10 @@ def swf_time(warp, spec, b=None) -> OperatorMatrix:
     extension of the input samples evaluated on the warped output grid.
     Equals F_M^dagger swf_freq^* F_N exactly.
     """
-    b = _resolve_b(spec, b)
     _require_tw(spec)
-    _require_swf_feasible(spec)
-    M, N = spec.M, spec.N
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
-    args = wv[:, None] - _grid(N)[None, :]
-    entries = wt[:, None] * dirichlet_kernel(args, spec.input_set)
-    entries /= np.sqrt(M * N)
-    if spec.input_set.symmetric:
-        # exactly-zero imaginary part so real inputs map to real outputs
-        entries = entries.real.astype(complex)
-    return OperatorMatrix("swf_time", b, spec, entries)
+    b, entries = _interpolator(warp, spec, b)
+    # exactly-zero imaginary part so real inputs map to real outputs
+    return OperatorMatrix("swf_time", b, spec, entries.real.astype(complex))
 
 
 def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
@@ -196,93 +249,45 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
     different matrices, so the product deviates from the identity by the
     sampling (aliasing) error of either factor.
     """
-    b = _resolve_b(spec, b)
-    _require_tw(spec)
-    _require_swf_feasible(spec)
-    v = warp.inverse() if inverse is None else inverse
-    M, N = spec.M, spec.N
-    y = _grid(N)
-    vv = v.eval(y)
-    vwt = v.sampled_weight(y, b)
-    args = vv[None, :] - _grid(M)[:, None]
+    b, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
+    args = vv[None, :] - _grid(spec.M)[:, None]
     entries = vwt[None, :] * dirichlet_kernel(args, spec.output_set)
-    entries /= np.sqrt(M * N)
-    if spec.output_set.symmetric:
-        entries = entries.real.astype(complex)
-    return OperatorMatrix("swf_time_invmap", b, spec, entries)
+    entries /= np.sqrt(spec.M * spec.N)
+    return OperatorMatrix("swf_time_invmap", b, spec, entries.real.astype(complex))
 
 
 # ---------------------------------------------------------------------------
 # matrix-free appliers; same definitions with the nonuniform stage done by
-# spreading FFT and the uniform stages by plain FFTs
-
-
-def _uniform_synthesis(coeffs, index_set, count):
-    # sum_{k in set} c_k e^{2 pi j k q/count} for q = 0..count-1
-    z = np.zeros(count, dtype=complex)
-    np.add.at(z, index_set.indices % count, np.asarray(coeffs, dtype=complex))
-    return np.fft.ifft(z) * count
-
-
-def _uniform_analysis(values, index_set, count):
-    # sum_q x_q e^{-2 pi j k q/count} for k in the set
-    spectrum = np.fft.fft(np.asarray(values, dtype=complex))
-    return spectrum[index_set.indices % count]
+# spreading FFT and the uniform stages by the FFT pair above
 
 
 def apply_warped_dft(warp, spec, x, b=None, row_set=None):
-    b = _resolve_b(spec, b)
-    _require_swf_feasible(spec)
+    _, wv, wt = _sampled(warp, spec, b)
     rows = spec.output_set if row_set is None else row_set
-    M = spec.M
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
-    vals = wt * np.asarray(x, dtype=complex) / np.sqrt(M)
+    vals = wt * np.asarray(x, dtype=complex) / np.sqrt(spec.M)
     return _nufft.nufft_project(wv, vals, rows)
 
 
 def apply_swf_freq(warp, spec, x, b=None):
-    b = _resolve_b(spec, b)
-    _require_swf_feasible(spec)
-    M = spec.M
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
+    _, wv, wt = _sampled(warp, spec, b)
     # inner: evaluate the input-band series at the warped grid points
     g = _nufft.nufft_eval(-wv, np.asarray(x, dtype=complex), spec.input_set)
-    out = _uniform_analysis(np.conj(wt * g), spec.output_set, M)
-    return np.conj(out) / M
+    out = _uniform_analysis(np.conj(wt * g), spec.output_set)
+    return np.conj(out) / spec.M
 
 
 def apply_swf_time(warp, spec, x, b=None):
-    b = _resolve_b(spec, b)
     _require_tw(spec)
-    _require_swf_feasible(spec)
-    M, N = spec.M, spec.N
-    tau = _grid(M)
-    wv = warp.eval(tau)
-    wt = warp.sampled_weight(tau, b)
-    xhat = _uniform_analysis(x, spec.input_set, N)
-    out = wt * _nufft.nufft_eval(wv, xhat, spec.input_set) / np.sqrt(M * N)
-    if spec.input_set.symmetric and np.isrealobj(x):
-        return out.real
-    return out
+    _, wv, wt = _sampled(warp, spec, b)
+    xhat = _uniform_analysis(x, spec.input_set)
+    out = wt * _nufft.nufft_eval(wv, xhat, spec.input_set) / np.sqrt(spec.M * spec.N)
+    return out.real if np.isrealobj(x) else out
 
 
 def apply_swf_time_invmap(warp, spec, x, b=None, inverse=None):
-    b = _resolve_b(spec, b)
-    _require_tw(spec)
-    _require_swf_feasible(spec)
-    v = warp.inverse() if inverse is None else inverse
-    M, N = spec.M, spec.N
-    y = _grid(N)
-    vv = v.eval(y)
-    vwt = v.sampled_weight(y, b)
+    _, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
     inner = _nufft.nufft_project(-vv, vwt * np.asarray(x, dtype=complex),
                                  spec.output_set)
-    out = _uniform_synthesis(inner.conj(), spec.output_set, M).conj()
-    out /= np.sqrt(M * N)
-    if spec.output_set.symmetric and np.isrealobj(x):
-        return out.real
-    return out
+    out = _uniform_synthesis(inner.conj(), spec.output_set).conj()
+    out /= np.sqrt(spec.M * spec.N)
+    return out.real if np.isrealobj(x) else out

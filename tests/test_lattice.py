@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from pswarp._lattice import (
     band_complement_power_sums,
-    full_lattice_power_sum,
     lattice_tail_values,
     symmetric_tail_power_sums,
     unit_lattice_jets,
@@ -125,19 +124,6 @@ def test_tail_symmetries(z, t):
     Tf = lattice_tail_values(-z, 6, -t)
     signs = (-1.0) ** np.arange(1, 7)
     assert np.allclose(Tf, signs * T, rtol=1e-10, atol=1e-12)
-
-
-def test_full_lattice_power_sum():
-    for s in (2, 3, 7, 12, 40):
-        for d in (0.0, 0.3, 0.123, 0.77):
-            got = full_lattice_power_sum(s, d)
-            ref = complex(-(2j * mp.pi) ** s * mp.bernpoly(s, mp.mpf(d))
-                          / mp.factorial(s))
-            assert abs(got - ref) <= 5e-14 * max(abs(ref), 1e-20), (s, d)
-    # odd s with trivial phase vanishes exactly
-    assert full_lattice_power_sum(3, 0.0) == 0
-    with pytest.raises(ValueError):
-        full_lattice_power_sum(1, 0.3)
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 7])

@@ -1,9 +1,12 @@
-"""Packaging metadata: what pyproject.toml declares must exist."""
+"""Packaging metadata: what pyproject.toml and the modules declare must exist."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import pswarp
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -19,3 +22,10 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(pswarp.__path__)])
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"pswarp.{name}")
+    for export in getattr(module, "__all__", ()):
+        assert hasattr(module, export), f"pswarp.{name}.{export}"

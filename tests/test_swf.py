@@ -120,6 +120,50 @@ def test_swf_freq_identity_map_embedding():
     assert np.max(np.abs(E - tgt.astype(float))) < 1e-13
 
 
+# asymmetric and even index sets, which only frequency-warping mode allows
+FW_GEOMETRIES = [(10, 23, 3, 8), (10, 24, 6, 13), (9, 20, 2, 7)]
+
+
+@pytest.mark.parametrize("N,M,L_N,L_M", FW_GEOMETRIES)
+@pytest.mark.parametrize("w", [wm.exponential_map(),
+                               wm.piecewise_linear_map([0.0, 0.3, 0.7],
+                                                       [0.0, 0.27, 0.66])],
+                         ids=["exp", "pwl"])
+def test_swf_freq_matches_its_defining_sum(w, N, M, L_N, L_M):
+    # (1/M) sum_q (Dw(q/M))^b e^{j2pi(m q/M - n w(q/M))}, entry by entry,
+    # with m q/M reduced mod 1 in integers before it meets a float
+    spec = di.domain_spec(w, N, M, L_N=L_N, L_M=L_M, b=0.3)
+    assert not spec.input_set.symmetric and not spec.output_set.symmetric
+    q = np.arange(M)
+    wv = w.eval(q / M)
+    wt = w.sampled_weight(q / M, 0.3)
+    m = spec.output_set.indices[:, None, None]
+    n = spec.input_set.indices[None, :, None]
+    phase = ((m * q) % M) / M - n * wv
+    ref = (wt * np.exp(2j * np.pi * phase)).sum(axis=2) / M
+    got = swf.swf_freq(w, spec).entries
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N,M,L_N,L_M", FW_GEOMETRIES)
+def test_dft_pair_is_the_unitary_dft_sandwich(N, M, L_N, L_M):
+    rows, cols = di.make_index_set(M, L_M), di.make_index_set(N, L_N)
+
+    def F(s):
+        return np.exp(-2j * np.pi * np.outer(s.indices, np.arange(s.N) / s.N)) / np.sqrt(s.N)
+
+    rng = np.random.default_rng(N * M + L_N)
+    A = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
+    B = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
+    FM, FN = F(rows), F(cols)
+    T = swf._to_time(A, rows, cols)
+    assert np.max(np.abs(T - FM.conj().T @ A.conj() @ FN)) < 1e-13 * np.max(np.abs(T))
+    Fq = swf._to_freq(B, rows, cols)
+    assert np.max(np.abs(Fq - np.conj(FM @ B @ FN.conj().T))) < 1e-13 * np.max(np.abs(Fq))
+    assert np.max(np.abs(swf._to_freq(T, rows, cols) - A)) < 1e-13 * np.max(np.abs(A))
+    assert np.max(np.abs(swf._to_time(Fq, rows, cols) - B)) < 1e-13 * np.max(np.abs(B))
+
+
 def test_swf_refuses_infeasible_spec():
     w = wm.exponential_map()
     spec = di.domain_spec(w, 33, 35, b=0.5)
