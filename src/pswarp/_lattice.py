@@ -1,11 +1,12 @@
 """Phase-twisted unit-lattice power sums and their closed forms.
 
-Two families feed the aliasing resummation and the dual-frame Gram:
+One lattice-sum family,
 
   T_s(z, q) = sum_{k != 0} q^k (z - k)^(-s),   |q| = 1, |z| < 1,
-  C_s(d)    = sum_{m outside a band} exp(j2pi m d) (m/r)^(-s),  s >= 2.
 
-T_s comes from the Taylor jet of the pole-removed generating function
+feeds both the aliasing fold of the tail rows onto the band and the
+dual-frame Gram.  T_s comes from the Taylor jet of the pole-removed
+generating function
 
   zeta_q(z) = 2 pi j exp(j2pi z t)/(exp(j2pi z) - 1) - 1/z,  q = exp(j2pi t),
 
@@ -13,14 +14,20 @@ with the untwisted case replaced by pi cot(pi z) - 1/z so that the
 conditionally convergent s = 1 sum carries its symmetric (principal
 value) meaning; this is the regularization under which the aliasing fold
 of the tail expansion converges row by row.  It is float closed form: no
-arbitrary precision, no lattice truncation.  C_s, the Gram's sums over
-the band complement, takes its low powers from a factorial-series
-resummation (Hurwitz zeta when the phase is trivial) and its high powers
-from direct summation until the terms drop below double precision.
+arbitrary precision, no lattice truncation.
+
+The Gram sums C_s(d) = sum_{m not in B} exp(j2pi m d) (m/r)^(-s), s >= 2,
+run over the complement of a band B of P consecutive integers holding 0.
+B is a complete residue system mod P: each m outside it is m0 + kP for
+exactly one m0 in B and one k != 0, so
+
+  C_s(d) = (-r/P)^s sum_{m0 in B} exp(j2pi m0 d) T_s(-m0/P, exp(j2pi P d)),
+
+one fold over the band rows.  Only high powers, whose terms vanish
+within a few band widths, are summed directly.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +39,10 @@ TWO_PI_J = 2j * math.pi
 # beyond it the origin pole no longer dominates and direct division of
 # one-sided jets is stable
 _RECENTER_RADIUS = 0.5
+
+# band-complement powers up to this one come from the residue-class fold,
+# the higher ones from direct sums
+_FOLD_POWERS = 16
 
 
 def _series_at_origin(depth: int, twist: float) -> np.ndarray:
@@ -146,138 +157,44 @@ def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
     return (-1.0) ** np.arange(s_max) * c
 
 
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple:
-    """Unsigned Stirling numbers of the first kind, row n (k = 0..n)."""
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        row[k] = (n - 1) * (prev[k] if k <= n - 1 else 0) + (prev[k - 1] if k >= 1 else 0)
-    return tuple(row)
-
-
-def _phase(m, delta):
-    return np.exp(TWO_PI_J * (np.asarray(m, dtype=np.float64) * delta % 1.0))
-
-
-def _one_sided_power_tail(s: int, a: int, delta: float) -> complex:
-    """sum_{m >= a} exp(j2pi m delta) m^(-s), delta not an integer.
-
-    Head terms are summed directly up to an anchor chosen so the phase
-    factor q/(1-q) cannot outrun the inverse-factorial decay; past the
-    anchor the series is re-expanded in reciprocal rising factorials
-    B_u(m) = (m-1)!/(m+u-1)!, whose forward difference is exactly
-    -u B_{u+1}(m).  Abel summation then gives the closed recursion
-
-        sum_{m>=af} q^m B_u(m) = B_u(af) q^af/(1-q) - u q/(1-q) T_{u+1},
-
-    and m^(-s) = sum_{u>=s} |stirling1(u-1, s-1)| B_u(m) folds the powers
-    back in.  No numerical differencing, so no cancellation.
-    """
-    q = complex(np.exp(TWO_PI_J * (delta % 1.0)))
-    gap = abs(1.0 - q)
-    af = max(a, 48, int(math.ceil(50.0 / gap)))
-    if af > 2_000_000:
-        raise ValueError("phase increment too close to integer for tail resummation")
-    u_max = s + 44
-    inv1q = 1.0 / (1.0 - q)
-    qaf = complex(np.exp(TWO_PI_J * ((af * delta) % 1.0)))
-    # downward in u: underflow in B_u just truncates the series early
-    logB = math.lgamma(af)
-    T = np.zeros(u_max + 2, dtype=np.complex128)
-    for u in range(u_max, s - 1, -1):
-        with np.errstate(under="ignore"):
-            Bu = math.exp(logB - math.lgamma(af + u))
-        T[u] = Bu * qaf * inv1q - u * q * inv1q * T[u + 1]
-    srow_cache = [_stirling1_row(u - 1) for u in range(s, u_max + 1)]
-    tail = 0.0 + 0.0j
-    for u, row in zip(range(s, u_max + 1), srow_cache):
-        tail += row[s - 1] * T[u]
-    if af > a:
-        m = np.arange(a, af)
-        with np.errstate(under="ignore"):
-            tail += np.sum(_phase(m, delta) * m ** (-float(s)))
-    return complex(tail)
-
-
-def symmetric_tail_power_sums(s_max: int, K: int, delta: float,
-                              scale: float = 1.0) -> np.ndarray:
-    """out[s-2] = sum_{|m| > K} exp(j2pi m delta) (m/scale)^(-s), s = 2..s_max.
-
-    Large s is summed directly (the scaled terms decay geometrically just
-    outside the cutoff); small s goes through the factorial-series
-    resummation, or Hurwitz zeta when the phase is trivial.
-    """
-    if K < 1:
-        raise ValueError("cutoff K must be >= 1")
-    frac = float(delta) % 1.0
-    out = np.zeros(max(s_max - 1, 0), dtype=np.complex128)
-    direct_start = min(s_max + 1, 8)
-    for s in range(2, direct_start):
-        if frac == 0.0:
-            from scipy.special import zeta as _hurwitz
-
-            one = float(_hurwitz(s, K + 1))
-            val = (1.0 + (-1.0) ** s) * one
-        else:
-            plus = _one_sided_power_tail(s, K + 1, frac)
-            minus = _one_sided_power_tail(s, K + 1, -frac)
-            val = plus + (-1.0) ** s * minus
-        out[s - 2] = val * scale**s
-    if direct_start <= s_max:
-        svals = np.arange(direct_start, s_max + 1, dtype=np.float64)
-        acc = np.zeros(svals.size, dtype=np.complex128)
-        m = K + 1
-        block = 256
-        while True:
-            ms = np.arange(m, m + block)
-            ph = _phase(ms, frac)
-            zb = ms / scale
-            with np.errstate(under="ignore"):
-                pw = zb[None, :] ** (-svals[:, None])
-                chunk = (ph[None, :] * pw).sum(axis=1)
-                neg = (np.conj(ph)[None, :] * pw).sum(axis=1)
-            acc += chunk + ((-1.0) ** svals) * neg
-            top = np.max(np.abs(acc)) + 1e-300
-            with np.errstate(under="ignore"):
-                last = np.max(np.abs(zb[-1] ** (-svals[0])))
-            if last < 1e-17 * top or last == 0.0:
-                break
-            m += block
-            if m > K + 1 + 3_000_000:
-                raise ValueError("direct tail summation failed to converge")
-        out[direct_start - 2:] = acc
-    return out
-
-
 def band_complement_power_sums(s_max: int, band, delta: float,
                                scale: float = 1.0) -> np.ndarray:
     """out[s-2] = sum over integers m outside `band` of e^(j2pi m delta) (m/scale)^(-s).
 
-    The band is a contiguous integer range containing 0.  Split into the
-    symmetric complement beyond the wider edge plus a finite strip on the
-    narrower side, so no term is ever formed as a difference of large
-    near-equal sums.
+    The band is a contiguous integer range containing 0.  Powers up to
+    _FOLD_POWERS take the residue-class fold (module docstring), higher
+    ones direct sums on both sides.  At phase 0 or 1/2 the sums are
+    exactly real, and on a symmetric band the odd ones exactly zero.
     """
     idx = np.asarray(band, dtype=np.int64)
     lo, hi = int(idx.min()), int(idx.max())
     if lo > 0 or hi < 0 or idx.size != hi - lo + 1:
         raise ValueError("band must be a contiguous integer range containing 0")
-    K = max(-lo, hi)
-    out = symmetric_tail_power_sums(s_max, K, delta, scale=scale)
-    if -lo < K:
-        strip = np.arange(-K, lo)
-    elif hi < K:
-        strip = np.arange(hi + 1, K + 1)
-    else:
-        strip = np.array([], dtype=np.int64)
-    if strip.size:
-        ph = _phase(strip, float(delta) % 1.0)
-        zb = strip / scale
-        svals = np.arange(2, s_max + 1, dtype=np.float64)
-        with np.errstate(under="ignore"):
-            out += (ph[None, :] * np.sign(zb)[None, :] ** svals[:, None]
-                    * np.abs(zb)[None, :] ** (-svals[:, None])).sum(axis=1)
+    P = hi - lo + 1
+    frac = float(delta) % 1.0
+    out = np.zeros(max(s_max - 1, 0), dtype=np.complex128)
+    s_fold = min(s_max, _FOLD_POWERS)
+    if s_fold >= 2:
+        m0 = np.arange(lo, hi + 1)
+        T = lattice_tail_values(-m0 / P, s_fold, P * frac)[:, 1:]
+        ph = np.exp(TWO_PI_J * (m0 * frac % 1.0))
+        out[:s_fold - 1] = (-scale / P) ** np.arange(2.0, s_fold + 1) * (ph @ T)
+    svals = np.arange(s_fold + 1.0, s_max + 1)
+    high = out[s_fold - 1:]
+    # sum_{m >= a} e^(j2pi sign m delta) (sign m/scale)^(-s) per side, power s
+    # in blocks of 256 up to the first E_s with the remainder bound
+    # a/(s-1) (E_s/a)^(1-s), in units of the first term, below 1e-17
+    for a, sign in ((hi + 1, 1.0), (1 - lo, -1.0)):
+        ends = a * (a / (1e-17 * (svals - 1.0))) ** (1.0 / (svals - 1.0))
+        for start in range(a, int(ends.max(initial=0.0)) + 1, 256):
+            live = int(np.count_nonzero(ends >= start))
+            m = np.arange(start, start + 256)
+            ph = np.exp(TWO_PI_J * (sign * m * frac % 1.0))
+            with np.errstate(under="ignore"):
+                pw = (m / scale)[None, :] ** -svals[:live, None]
+            high[:live] += sign ** svals[:live] * (pw @ ph)
+    if 2.0 * frac % 1.0 == 0.0:
+        out.imag = 0.0
+        if lo == -hi:
+            out[1::2] = 0.0  # odd powers cancel pairwise
     return out

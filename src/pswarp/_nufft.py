@@ -6,12 +6,14 @@ Two entry points, adjoint to each other:
 * ``nufft_project``: sum_j v_j e^{-2 pi j k t_j} for k in the set.
 
 Oversampled FFT (ratio >= 2) with a Kaiser-Bessel window of half-width
-14 cells.  Against a direct sum, relative to the largest output, both
-directions hold about 1e-12 at sizes up to a few hundred.  At 16385 to
-65537 frequencies evaluation holds about 5e-12; projection loses up to
-2e-11 at the band edges, where dividing out the window transform
-amplifies its aliasing floor.  Frequencies are re-centered so an
-asymmetric set costs one extra modulation, not a larger grid.
+14 cells.  Against a direct sum with exactly reduced phases, relative to
+the largest output, both directions hold 1e-13 on symmetric sets from 33
+to 65537 frequencies (evaluation 2e-14, projection 7e-14 at the band
+edges, where dividing out the window transform amplifies its aliasing
+floor).  Frequencies are re-centered so an asymmetric set costs one
+extra modulation, not a larger grid; that modulation takes its phase
+from the rounded product k0 t, which costs up to 7e-12 at 65537
+frequencies.
 """
 
 from functools import lru_cache
@@ -33,9 +35,10 @@ def _plan(set_n, set_l):
     # spreading margin on top of ratio-2 oversampling keeps the nearest
     # window-transform image well past the band edge even for large sets
     n = next_fast_len(max(4 * (span + 1) + 8 * w, 8 * w))
-    # shape parameter matched to the realized oversampling ratio
+    # shape parameter matched to the realized oversampling ratio; the
+    # Kaiser-Bessel rule is stated for the full width 2w
     rho = n / (2 * span + 1)
-    beta = np.pi * w * (1.0 - 1.0 / (2.0 * rho))
+    beta = np.pi * (2 * w) * (1.0 - 1.0 / (2.0 * rho))
     arg = beta**2 - (2.0 * np.pi * w * shifted / n) ** 2
     root = np.sqrt(arg)  # positive throughout: |shifted| < n/4 by construction
     window_hat = (2.0 * w / n) * np.sinh(root) / (np.i0(beta) * root)

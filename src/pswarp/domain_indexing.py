@@ -24,15 +24,12 @@ __all__ = [
     "IndexSet",
     "DomainSpec",
     "FeasibilityReport",
-    "TWDomain",
     "make_index_set",
     "symmetric_index_set",
     "domain_spec",
     "check_feasibility",
     "singularity_decay_ratio",
-    "tw_domain",
     "resample_even_to_odd",
-    "reverse_indexing",
 ]
 
 TIME_WARPING = "time_warping"
@@ -238,39 +235,14 @@ def check_feasibility(spec: DomainSpec) -> FeasibilityReport:
     )
 
 
-@dataclass
-class TWDomain:
-    set: IndexSet
-    original_N: int
-    resampled: bool
-
-    @property
-    def N(self):
-        return self.set.N
-
-
-def tw_domain(N) -> TWDomain:
-    """Symmetric time-warping domain; even N is promoted to N+1 points.
-
-    The promotion keeps the trigonometric content: the lone N/2
-    coefficient of the even-length DFT is split half-and-half over the
-    +-N/2 bins of the odd-length domain (see resample_even_to_odd).
-    """
-    N = int(N)
-    if N <= 0:
-        raise ValueError("N must be positive")
-    if N % 2 == 1:
-        return TWDomain(symmetric_index_set(N), N, False)
-    return TWDomain(symmetric_index_set(N + 1), N, True)
-
-
 def resample_even_to_odd(s):
     """Resample N even uniform samples to N+1, splitting the N/2 bin.
 
     The even-length DFT stores a single coefficient for the Nyquist pair;
     splitting it equally over +N/2 and -N/2 yields the unique symmetric
-    (N+1)-coefficient expansion, which is then evaluated on the finer
-    uniform grid.  Real input stays real to roundoff.
+    (N+1)-coefficient expansion, which one inverse FFT of length N+1
+    evaluates on the finer uniform grid.  Real input stays real to
+    roundoff.
     """
     s = np.asarray(s)
     N = s.shape[0]
@@ -278,24 +250,9 @@ def resample_even_to_odd(s):
         raise ValueError("input length must be even")
     c = np.fft.fft(s) / N  # c[k] multiplies e^{2 pi j k x}, k = 0..N-1
     half = N // 2
-    ks = np.arange(-half, half + 1)
-    coeff = np.zeros(ks.size, dtype=complex)
-    for k in range(-half, half + 1):
-        if abs(k) == half:
-            coeff[k + half] = 0.5 * c[half]
-        else:
-            coeff[k + half] = c[k % N]
-    x = np.arange(N + 1) / (N + 1)
-    out = np.exp(2j * np.pi * x[:, None] * ks[None, :]) @ coeff
+    # bins 0..half-1, the split pair at +-half, then the negative bins
+    coeff = np.concatenate([c[:half], [0.5 * c[half]] * 2, c[half + 1:]])
+    out = np.fft.ifft(coeff) * (N + 1)
     if np.isrealobj(s):
         return out.real
     return out
-
-
-def reverse_indexing(index_set: IndexSet):
-    """Positions of the k -> -k reversal within a symmetric odd set."""
-    if index_set.N % 2 == 0 or not index_set.symmetric:
-        raise ValueError("index reversal needs a symmetric odd set (mu = 0)")
-    idx = index_set.indices
-    pos = {int(k): i for i, k in enumerate(idx)}
-    return np.array([pos[-int(k)] for k in idx])

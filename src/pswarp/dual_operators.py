@@ -59,10 +59,12 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     """Gram matrix of the phased inverse-power rows over all out-of-band indices.
 
     Entry ((i,u),(j,v)) sums e^(j2pi m (xi_j - xi_i)) (m/r)^-(u+v+2) over
-    every integer m outside the output band, evaluated analytically so
-    no truncation enters.  Exactly Hermitian: the diagonal blocks share
-    one real phase-0 sum, each block above the diagonal takes one sum,
-    and block (j, i) is the conjugate transpose of block (i, j).
+    every integer m outside the output band: the low powers fold the
+    band's residue classes through the same lattice sums as the band
+    fold, the high ones are summed until they reach double precision.
+    Exactly Hermitian: the diagonal blocks share one real phase-0 sum,
+    each block above the diagonal takes one sum, and block (j, i) is the
+    conjugate transpose of block (i, j).
     """
     R = fact.rows
     band = fact.spec.output_set.indices

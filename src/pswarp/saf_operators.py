@@ -24,11 +24,8 @@ import numpy as np
 from . import swf_operators as swf
 from . import symbolic_kernel as sk
 from ._lattice import lattice_tail_values
-from .dense_oracle import tail_row_indices
 from .domain_indexing import DomainSpec
 from .swf_operators import OperatorMatrix, _resolve_b, _to_time
-
-ROW_ORDER_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +64,8 @@ def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
 
 
 def build_bases(spec: DomainSpec, R: int) -> BasisSet:
-    if R > ROW_ORDER_CAP:
-        raise ValueError(f"basis order capped at {ROW_ORDER_CAP}")
+    if R > sk.ROW_CAP:
+        raise ValueError(f"basis order capped at {sk.ROW_CAP}")
     if R < 1:
         raise ValueError("need at least one basis column")
     mu_M = spec.output_set.mu
@@ -111,12 +108,14 @@ class TailFactorization:
     kernel_tol: float
 
     def tail_rows(self, k_tail: int) -> np.ndarray:
-        """Factored out-of-band rows on tail_row_indices(spec, k_tail).
+        """Factored out-of-band rows m in [-k_tail M, k_tail M), band excluded.
 
         Row m is sum over jumps of e^(j2pi m xi) (m / row_radius)^-(i+1)
-        S V q; a diagnostic, formed only when asked for.
+        S V q, rows ascending; a diagnostic, formed only when asked for.
         """
-        tails = tail_row_indices(self.spec, k_tail)
+        band = self.spec.output_set.indices
+        reach = k_tail * self.spec.M
+        tails = np.concatenate([np.arange(-reach, band[0]), np.arange(band[-1] + 1, reach)])
         Y = (tails[:, None] / self.row_radius) ** -(np.arange(self.rows)[None, :] + 1.0)
         V = self.basis.V
         out = np.zeros((tails.size, V.shape[1]), dtype=np.complex128)

@@ -117,12 +117,6 @@ def test_summary_mentions_singularity():
     assert "FAIL" in text
 
 
-def test_tw_domain_oddification():
-    d = di.tw_domain(32)
-    assert d.N == 33
-    assert di.tw_domain(33).N == 33
-
-
 def test_tw_mode_requires_odd_symmetric():
     w = wm.exponential_map()
     with pytest.raises(ValueError):
@@ -161,15 +155,6 @@ def test_resample_nyquist_split():
     r = di.resample_even_to_odd(s)
     t = np.arange(N + 1) / (N + 1)
     np.testing.assert_allclose(r, np.cos(2 * np.pi * 4 * t), atol=1e-12)
-
-
-def test_reverse_indexing_symmetric_only():
-    s = di.symmetric_index_set(9)
-    perm = di.reverse_indexing(s)
-    k = s.indices
-    np.testing.assert_array_equal(k[perm], -k)
-    with pytest.raises(ValueError):
-        di.reverse_indexing(di.make_index_set(8, 4))
 
 
 def test_describe_round_trips_key_fields():

@@ -256,6 +256,17 @@ def test_dual_freq_multi_singularity():
     assert Wf.deviation_from_identity(D) < 1e-12
 
 
+def test_dual_freq_near_coincident_jumps():
+    # knots 1e-6 apart: the cross-phase Gram block sums at a phase
+    # difference within 1e-6 of zero
+    w = piecewise_linear_map([0.0, 0.3, 0.300001], [0.0, 0.4, 0.4000012])
+    spec = domain_spec(w, 33, 67, b=0.5)
+    Wf = build_W_f(w, spec)
+    D = dual_W_f(w, spec)
+    # measured 1.1e-14
+    assert Wf.deviation_from_identity(D) <= 1e-12
+
+
 def test_dual_freq_neumann_operator_consistency():
     # applying the truncated series as an operator correction converges
     # to the closed-form dual; at forty terms they are indistinguishable

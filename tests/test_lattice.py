@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pswarp._lattice import (
     band_complement_power_sums,
     lattice_tail_values,
-    symmetric_tail_power_sums,
     unit_lattice_jets,
-    _one_sided_power_tail,
 )
 from pswarp.dense_oracle import _combined_power_tails
 
@@ -130,15 +128,17 @@ def test_tail_symmetries(z, t):
 @pytest.mark.parametrize("a", [5, 11, 34])
 @pytest.mark.parametrize("d", [0.3, 0.77, 0.123, 0.5, 0.011])
 def test_one_sided_tail_vs_lerch(s, a, d):
-    got = _one_sided_power_tail(s, a, d)
+    # the complement of the one-sided band {0..a-1} is the one-sided tail
+    # sum_{m >= a} q^m m^-s plus the negative integers
+    got = band_complement_power_sums(7, np.arange(a), d)[s - 2]
     q = mp.e ** (2j * mp.pi * mp.mpf(d))
-    ref = complex(q**a * mp.lerchphi(q, s, a))
+    ref = complex(q**a * mp.lerchphi(q, s, a) + (-1) ** s / q * mp.lerchphi(1 / q, s, 1))
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_symmetric_tails_scaled():
     scale, K = 16.5, 22
-    got = symmetric_tail_power_sums(128, K, 0.35, scale=scale)
+    got = band_complement_power_sums(128, np.arange(-K, K + 1), 0.35, scale=scale)
     q = mp.e ** (2j * mp.pi * mp.mpf(0.35))
     for s in (2, 5, 7):
         ref = complex((q ** (K + 1) * mp.lerchphi(q, s, K + 1)
@@ -156,12 +156,12 @@ def test_symmetric_tails_scaled():
 
 
 def test_symmetric_tails_untwisted_and_alternating():
-    got = symmetric_tail_power_sums(12, 9, 0.0)
+    got = band_complement_power_sums(12, np.arange(-9, 10), 0.0)
     for s in (2, 5, 8):
         ref = complex((1 + (-1) ** s) * mp.zeta(s, 10))
         assert abs(got[s - 2] - ref) <= 1e-12 * max(abs(ref), 1e-16), s
     # alternating phase, odd order: exact zero by symmetry
-    alt = symmetric_tail_power_sums(6, 9, 0.5)
+    alt = band_complement_power_sums(6, np.arange(-9, 10), 0.5)
     assert alt[3] == 0
 
 
@@ -180,6 +180,27 @@ def test_band_complement_asymmetric(band, short_side):
             minus = (-1) ** s * (1 / q) ** (-lo + 1) * mp.lerchphi(1 / q, s, -lo + 1)
             ref = complex((plus + minus) * mp.mpf(scale) ** s)
             assert abs(got[s - 2] - ref) <= 1e-11 * abs(ref), (short_side, s)
+
+
+@pytest.mark.parametrize("d", [1e-7, 0.123, 0.5, 1.0 - 1e-9])
+def test_band_complement_skewed_vs_brute_force(d):
+    # residue-class fold (s <= 16) and direct sums (s > 16) on both sides of
+    # the switch, down to phases within 1e-9 of an integer; mpmath's Lerch
+    # transcendent is the reference at s = 2 only, as it drifts at high s
+    band, scale = np.arange(-10, 57), 28.5
+    lo, hi = int(band.min()), int(band.max())
+    got = band_complement_power_sums(128, band, d, scale=scale)
+    q = mp.e ** (2j * mp.pi * mp.mpf(d))
+    plus = q ** (hi + 1) * mp.lerchphi(q, 2, hi + 1)
+    minus = (1 / q) ** (-lo + 1) * mp.lerchphi(1 / q, 2, -lo + 1)
+    ref = complex((plus + minus) * mp.mpf(scale) ** 2)
+    assert abs(got[0] - ref) <= 1e-13 * abs(ref)
+    # terms past 2000 band indices are below 1e-30 of the sum at s >= 16
+    ms = [m for m in range(-2000, 2000) if not lo <= m <= hi]
+    phases = [q ** m for m in ms]
+    for s in (16, 17, 64, 128):
+        ref = complex(mp.fsum(p * (mp.mpf(m) / scale) ** -s for p, m in zip(phases, ms)))
+        assert abs(got[s - 2] - ref) <= 1e-13 * abs(ref), (d, s)
 
 
 def test_band_complement_rejects_gaps():

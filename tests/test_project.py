@@ -1,7 +1,10 @@
 """Packaging metadata: what pyproject.toml and the modules declare must exist."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,16 @@ def test_module_exports_resolve(name):
     module = importlib.import_module(f"pswarp.{name}")
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"pswarp.{name}.{export}"
+
+
+def test_factorized_operators_do_not_load_the_oracle():
+    # the dense oracle referees the factorized code, so that code must not
+    # lean on it; a fresh interpreter sees what the imports really pull in
+    code = ("import sys, pswarp.saf_operators, pswarp.dual_operators; "
+            "print('pswarp.dense_oracle' in sys.modules)")
+    src = str(Path(pswarp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

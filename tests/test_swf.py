@@ -360,12 +360,13 @@ def test_nufft_large_set_offsets_are_exact():
     v = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
     ref = _phase_ld(-probe_k[:, None], t[None, :]) @ v
     got = _nufft.nufft_project(t, v, s)[probe_k - ks[0]]
-    assert np.max(np.abs(got - ref)) < 2.5e-11 * np.max(np.abs(ref))
+    # measured 5e-14 here, and 3e-14 for evaluation below
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
     probe_t = np.concatenate([t[:3], t[-3:], rng.choice(t, 4)])
     c = rng.normal(size=N) + 1j * rng.normal(size=N)
     ref = _phase_ld(probe_t[:, None], ks[None, :]) @ c
     got = _nufft.nufft_eval(probe_t, c, s)
-    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_nufft_adjoint_pairing():
