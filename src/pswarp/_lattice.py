@@ -16,6 +16,13 @@ value) meaning; this is the regularization under which the aliasing fold
 of the tail expansion converges row by row.  It is float closed form: no
 arbitrary precision, no lattice truncation.
 
+Every row takes its jet from one path, the Taylor series of zeta_q at
+the origin re-expanded at the row.  That series converges on |z| < 1
+but needs ever more terms towards |z| = 1, so a row past |z| = 1/2 is
+first moved one lattice step n into the disc: zeta_q + 1/z is
+q-quasi-periodic, zeta_q(z) = q^n (zeta_q(z - n) + 1/(z - n)) - 1/z,
+and the two pole jets are added back in closed form.
+
 The Gram sums C_s(d) = sum_{m not in B} exp(j2pi m d) (m/r)^(-s), s >= 2,
 run over the complement of a band B of P consecutive integers holding 0.
 B is a complete residue system mod P: each m outside it is m0 + kP for
@@ -27,6 +34,7 @@ one fold over the band rows.  Only high powers, whose terms vanish
 within a few band widths, are summed directly.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -34,11 +42,6 @@ import numpy as np
 from ._jets import jet_div
 
 TWO_PI_J = 2j * math.pi
-
-# below this radius the jet at z0 is re-expanded from the origin series;
-# beyond it the origin pole no longer dominates and direct division of
-# one-sided jets is stable
-_RECENTER_RADIUS = 0.5
 
 # band-complement powers up to this one come from the residue-class fold,
 # the higher ones from direct sums
@@ -70,45 +73,16 @@ def _series_at_origin(depth: int, twist: float) -> np.ndarray:
     return c
 
 
-def _jets_direct(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
-    """Jets of zeta_q at every row of z by one-sided division; needs |z| >= ~0.5.
-
-    Below that radius the subtraction of the 1/z jet cancels
-    catastrophically at high order (the function is analytically small
-    while both parts grow like |z|^(-e)).  Returns (rows, depth + 1).
-    """
-    n = depth + 1
-    # exp(j2pi z) - 1 from the offset to the nearest integer, where it is
-    # small near |z| = 1 and expm1 keeps it to full relative precision
-    r = z - np.rint(z)
-    ez = np.exp(TWO_PI_J * r)
-    den = np.empty((n, z.size), dtype=np.complex128)
-    den[0] = np.expm1(TWO_PI_J * r)
-    for d in range(1, n):
-        den[d] = (den[d - 1] if d > 1 else ez) * TWO_PI_J / d
-    # den[d] = (2 pi j)^d ez / d! for d >= 1
-    num = np.empty((n, z.size), dtype=np.complex128)
-    wt = TWO_PI_J * twist
-    num[0] = np.exp(wt * z)
-    for d in range(1, n):
-        num[d] = num[d - 1] * wt / d
-    c = TWO_PI_J * jet_div(num, den)
-    if twist == 0.0:
-        c[0] += 1j * math.pi
-    e = np.arange(n)[:, None]
-    c -= (-1.0) ** e * z ** (-(e + 1.0))
-    return c.T
-
-
 def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
-    """Jets of zeta_q at every row of z, |z| < 0.5, from the origin series.
+    """Jets of zeta_q at every row of z, |z| <= 1/2, from the origin series.
 
     out[r, e] = sum_{d >= e} c0[d] C(d, e) z_r^(d-e), with the binomial
     factor built by term *= z d/(d - e) for all rows and orders at once.
-    The origin terms suffice for the row nearest |z| = 1/2: its
-    re-centering has fully entered its geometric decay and dropped below
-    double precision, and every other row's decays faster.  Returns
-    (rows, depth + 1).
+    The origin series converges for |z| < 1, so on |z| <= 1/2 its terms
+    fall at least geometrically by 1/2; the term count, set by the row of
+    largest |z|, takes them below double precision for every row, and the
+    extra terms a smaller row sees in a larger batch fall below its last
+    bit.  Returns (rows, depth + 1).
     """
     az = float(np.max(np.abs(z)))
     d_max = depth + int(math.ceil(0.8 * depth / (0.75 - az))) + 180
@@ -124,25 +98,42 @@ def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
     return out
 
 
+def _pole_jets(x: np.ndarray, depth: int) -> np.ndarray:
+    """Taylor coefficients (-1)^e x^-(e+1) of 1/x at every row, (rows, depth + 1).
+
+    A running product, so a row's jets do not depend on the batch it is in.
+    """
+    out = np.empty((x.size, depth + 1))
+    out[:, 0] = 1.0 / x
+    for e in range(1, depth + 1):
+        out[:, e] = out[:, e - 1] * -out[:, 0]
+    return out
+
+
 def unit_lattice_jets(z0, depth: int, twist: float) -> np.ndarray:
     """Taylor coefficients c_0..c_depth of zeta_q at every z0, |z0| < 1.
 
     z0 is a scalar or an array of rows; the result carries one trailing
     axis of orders.  twist is the fractional phase t in q = exp(j2pi t),
-    reduced to [0, 1); t = 0 means the untwisted symmetric sum.  The
-    origin series is computed once per call.
+    reduced to [0, 1); t = 0 means the untwisted symmetric sum.  A row
+    past |z| = 1/2 is moved n = rint(z) into the disc (module docstring);
+    the origin series is computed once per call, and a row's jets do not
+    depend on the batch it is in.
     """
     z = np.asarray(z0, dtype=np.float64)
     if not np.all(np.abs(z) < 1.0):
         raise ValueError("lattice jets need |z0| < 1")
     twist = float(twist) % 1.0
     flat = z.ravel()
-    near = np.abs(flat) < _RECENTER_RADIUS
-    out = np.empty((flat.size, depth + 1), dtype=np.complex128)
-    if near.any():
-        out[near] = _jets_recentred(flat[near], depth, twist)
-    if not near.all():
-        out[~near] = _jets_direct(flat[~near], depth, twist)
+    n = np.rint(flat)
+    zr = flat - n  # exact for 1/2 <= |z| < 1
+    out = _jets_recentred(zr, depth, twist)
+    moved = n != 0.0
+    if moved.any():
+        q = cmath.exp(TWO_PI_J * twist)
+        qn = np.where(n[moved] > 0.0, q, q.conjugate())[:, None]
+        out[moved] = (qn * (out[moved] + _pole_jets(zr[moved], depth))
+                      - _pole_jets(flat[moved], depth))
     return out.reshape(z.shape + (depth + 1,))
 
 

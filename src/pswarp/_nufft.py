@@ -6,14 +6,14 @@ Two entry points, adjoint to each other:
 * ``nufft_project``: sum_j v_j e^{-2 pi j k t_j} for k in the set.
 
 Oversampled FFT (ratio >= 2) with a Kaiser-Bessel window of half-width
-14 cells.  Against a direct sum with exactly reduced phases, relative to
-the largest output, both directions hold 1e-13 on symmetric sets from 33
-to 65537 frequencies (evaluation 2e-14, projection 7e-14 at the band
-edges, where dividing out the window transform amplifies its aliasing
-floor).  Frequencies are re-centered so an asymmetric set costs one
-extra modulation, not a larger grid; that modulation takes its phase
-from the rounded product k0 t, which costs up to 7e-12 at 65537
-frequencies.
+14 cells.  Frequencies are re-centered so an asymmetric set costs one
+extra modulation, not a larger grid; the modulation and the spreading
+offsets take their phases from the exact split of the products k0 t
+and t n.  Against a direct sum with exactly reduced phases, relative to
+the largest output, both directions hold 1e-13 on one-sided, skewed and
+symmetric sets from 33 to 65537 frequencies (evaluation 4e-14,
+projection 1e-13 at the band edges, where dividing out the window
+transform amplifies its aliasing floor).
 """
 
 from functools import lru_cache
@@ -55,24 +55,32 @@ def _window(u, w, beta):
     return out / np.i0(beta)
 
 
-def _spread_geometry(t, n, w):
-    """Spreading cells of each point and its offsets from them in cell units.
+def _reduced_product(t, n):
+    """(rint(t n), t n - rint(t n)) for an integer |n| < 2^26.
 
-    t n is split exactly into p + err (Dekker's product, with t cut into
-    26-bit halves; n < 2^26 needs no cut), so the offsets t n - cell
-    carry no rounding of the product, and points outside [0, 1) need no
-    reduction: the cells wrap instead.
+    t n is split exactly into p + err (Dekker's product, t cut into 26-bit
+    halves; n needs no cut), so the fraction carries no product rounding.
     """
-    if n >= 1 << 26:
-        raise ValueError("spreading grid too long for the exact offset split")
+    if abs(n) >= 1 << 26:
+        raise ValueError("factor too large for the exact product split")
     p = t * n
     c = t * 134217729.0  # 2^27 + 1
     hi = c - (c - t)
     err = (hi * n - p) + (t - hi) * n
     u0 = np.rint(p)
+    return u0, (p - u0) + err
+
+
+def _spread_geometry(t, n, w):
+    """Spreading cells of each point and its offsets from them in cell units.
+
+    The offsets t n - cell come from the exact split of _reduced_product,
+    and points outside [0, 1) need no reduction: the cells wrap instead.
+    """
+    u0, frac = _reduced_product(t, n)
     offsets = np.arange(-w, w + 1)
     cells = u0.astype(np.int64)[:, None] + offsets[None, :]
-    dist = ((p - u0) + err)[:, None] - offsets[None, :]
+    dist = frac[:, None] - offsets[None, :]
     return cells % n, dist
 
 
@@ -89,7 +97,7 @@ def nufft_eval(points, coeffs, freq_set):
     cells, dist = _spread_geometry(t, n, w)
     vals = _window(dist, w, beta)
     f = np.einsum("jc,jc->j", vals, g[cells])
-    return f * np.exp(2j * np.pi * k0 * t)
+    return f * np.exp(2j * np.pi * _reduced_product(t, k0)[1])
 
 
 def nufft_project(points, values, freq_set):
@@ -99,7 +107,7 @@ def nufft_project(points, values, freq_set):
     if v.shape[0] != t.shape[0]:
         raise ValueError("value count does not match the point count")
     k0, shifted, n, w, beta, window_hat = _plan(freq_set.N, freq_set.L)
-    vmod = v * np.exp(-2j * np.pi * k0 * t)
+    vmod = v * np.exp(-2j * np.pi * _reduced_product(t, k0)[1])
     cells, dist = _spread_geometry(t, n, w)
     vals = _window(dist, w, beta)
     z = np.zeros(n, dtype=complex)

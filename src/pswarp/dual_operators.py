@@ -162,7 +162,6 @@ class DualFactorization:
 
 def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
                              fact: TailFactorization = None,
-                             fact_dual: TailFactorization = None,
                              **factor_kw) -> DualFactorization:
     """Factor the dual correction for the weight-b operator on this spec.
 
@@ -176,14 +175,9 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b
     fact = saf._factorization(warp, spec, b, fact, factor_kw)
-    if fact_dual is None:
-        # on fact's rows: mixed-kernel products need matching block sizes
-        kw = {k: v for k, v in factor_kw.items() if k != "R"}
-        fact_dual = saf._reweighted_factorization(warp, fact, b_dual, **kw)
-    elif (fact_dual.spec is not spec or fact_dual.b != b_dual
-          or fact_dual.rows != fact.rows):
-        raise ValueError("conjugate factorization does not match the spec, "
-                         "exponent, or block size")
+    # on fact's rows: mixed-kernel products need matching block sizes
+    kw = {k: v for k, v in factor_kw.items() if k != "R"}
+    fact_dual = saf._reweighted_factorization(warp, fact, b_dual, **kw)
     H = stacked_blocks(fact)
     H_dual = stacked_blocks(fact_dual)
     G = tail_row_gram(fact)

@@ -26,6 +26,7 @@ from . import symbolic_kernel as sk
 from ._lattice import lattice_tail_values
 from .domain_indexing import DomainSpec
 from .swf_operators import OperatorMatrix, _resolve_b, _to_time
+from .warp_map import _coincides
 
 
 # ---------------------------------------------------------------------------
@@ -34,21 +35,16 @@ from .swf_operators import OperatorMatrix, _resolve_b, _to_time
 
 @dataclass(frozen=True)
 class BasisSet:
-    """The bases the corrected operators use: column moments and row fold.
+    """The column basis the corrected operators share.
 
     V: (R, N) column moments n^k, scaled so each row peaks at 1 on the
-       wide edge of the input set.
-    U: (M_band, R) closed-form fold over the full row lattice of the
-       tail row basis (m / row_radius)^-(i+1), valid when every jump sits
-       on the output sample lattice: the twist-0 case
-       ((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, 1) of the shared lattice fold,
-       real.  build_factorization folds with the jump's phase twist
-       otherwise.  The tail rows themselves are formed only on demand, by
+       wide edge of the input set.  The row side depends on the jump's
+       phase: each JumpCorrection carries its own fold U, and the tail
+       rows themselves are formed only on demand, by
        TailFactorization.tail_rows.
     """
 
     V: np.ndarray
-    U: np.ndarray
 
 
 def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
@@ -74,8 +70,7 @@ def build_bases(spec: DomainSpec, R: int) -> BasisSet:
     col_radius = 0.5 * spec.N * (1.0 + spec.input_set.mu)
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
     V = (ns[None, :] / col_radius) ** np.arange(R)[:, None]
-    U = _row_fold(spec, R, 0.0).real
-    return BasisSet(V=V, U=U)
+    return BasisSet(V=V)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +84,8 @@ class JumpCorrection:
     xi: float
     image: float  # map value at the jump, mod 1
     S: np.ndarray
-    U: np.ndarray  # (M_band, R) row-lattice fold, twisted when M*xi is fractional
-    lattice_aligned: bool  # M*xi integral, so the fold is the untwisted basis.U
+    U: np.ndarray  # (M_band, R) row-lattice fold at _fold_twist; real when aligned
+    lattice_aligned: bool  # xi on the output sample lattice, so the twist is 0
     p_band: np.ndarray
     q: np.ndarray
 
@@ -127,20 +122,15 @@ class TailFactorization:
     @cached_property
     def band_fold(self) -> np.ndarray:
         """Closed-form aliasing: the tail rows folded onto the band."""
-        shape = (self.basis.U.shape[0], self.basis.V.shape[1])
+        shape = (self.spec.M, self.basis.V.shape[1])
         out = np.zeros(shape, dtype=np.complex128)
         for pc in self.pieces:
             out += pc.p_band[:, None] * (pc.U @ pc.S @ self.basis.V) * pc.q[None, :]
         return out
 
 
-def _is_lattice_aligned(value: float) -> bool:
-    return abs(value - round(value)) < 1e-9
-
-
 def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
-                        kernel_tol: float = sk.KERNEL_TOL_DEFAULT,
-                        max_level: int = sk.MAX_LEVEL_DEFAULT) -> TailFactorization:
+                        kernel_tol: float = sk.KERNEL_TOL_DEFAULT) -> TailFactorization:
     """Factor the out-of-band tail and its band fold through the jump kernels.
 
     Warns when the kept expansion orders are still growing at the cap:
@@ -149,30 +139,39 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     to 1 (roughly J below 1.4 for maps with rich high-order jets).
     """
     b = _resolve_b(spec, b)
-    bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol,
-                             max_level=max_level)
+    bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol)
     basis = build_bases(spec, bundle.rows)
     return _assemble(spec, b, bundle, basis, {}, kernel_tol)
 
 
 def _reweighted_factorization(warp, fact: TailFactorization, b: float,
-                              kernel_tol: float = sk.KERNEL_TOL_DEFAULT,
-                              max_level: int = sk.MAX_LEVEL_DEFAULT) -> TailFactorization:
+                              kernel_tol: float = sk.KERNEL_TOL_DEFAULT) -> TailFactorization:
     """fact's factorization at weight exponent b, on fact's rows.
 
-    Only the jump kernels depend on b: the bases and the per-jump row
-    folds depend on (spec, R, xi) alone and are taken from fact.
+    Only the jump kernels depend on b: the column basis and the per-jump
+    row folds depend on (spec, R, twist) alone and are taken from fact.
     """
     spec = fact.spec
-    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=kernel_tol,
-                             max_level=max_level)
-    folds = {pc.xi: pc.U for pc in fact.pieces}
+    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=kernel_tol)
+    folds = {_fold_twist(spec.M, pc.xi): pc.U for pc in fact.pieces}
     return _assemble(spec, b, bundle, fact.basis, folds, kernel_tol)
+
+
+def _fold_twist(M: int, xi: float) -> float:
+    """The row-lattice twist (-M xi) mod 1 of a jump at xi; 0 on the lattice.
+
+    On the lattice means its grid point round(M xi)/M _coincides with xi.
+    An off-lattice M xi never rounds to an integer, so 0 means aligned.
+    """
+    return 0.0 if _coincides(round(M * xi) / M, xi) else (-M * xi) % 1.0
 
 
 def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
               kernel_tol: float) -> TailFactorization:
-    """One JumpCorrection per kernel of bundle; folds maps xi to a known row fold."""
+    """One JumpCorrection per kernel of bundle.
+
+    folds maps a twist to its row fold and gains each fold made here.
+    """
     M = spec.M
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
@@ -181,13 +180,12 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
     worst_profile = 0.0
     floor = math.inf
     for ker in bundle.kernels:
-        aligned = _is_lattice_aligned(M * ker.xi)
-        if aligned:
-            U = basis.U
-        elif ker.xi in folds:
-            U = folds[ker.xi]
-        else:
-            U = _row_fold(spec, bundle.rows, (-M * ker.xi) % 1.0)
+        twist = _fold_twist(M, ker.xi)
+        aligned = twist == 0.0
+        if twist not in folds:
+            U = _row_fold(spec, bundle.rows, twist)
+            folds[twist] = U.real if aligned else U
+        U = folds[twist]
         profile = np.abs(ker.S @ basis.V).max(axis=1)
         positive = profile[profile > 0]
         if positive.size:

@@ -201,16 +201,16 @@ def _to_freq(B, rows, cols):
 # dense operators
 
 
-def warped_dft(warp, spec, b=None, row_set=None) -> OperatorMatrix:
+def warped_dft(warp, spec, b=None) -> OperatorMatrix:
     """Weighted nonuniform Fourier matrix on the M-point warped grid.
 
     Row k, column m holds (Dw(m/M))^b e^{-j2pi k w(m/M)} / sqrt(M); rows
-    run over row_set (the spec's output set by default). For the
-    identity map this is the ordinary unitary DFT matrix.
+    run over the spec's output set. For the identity map this is the
+    ordinary unitary DFT matrix.
     """
     b, wv, wt = _sampled(warp, spec, b)
-    rows = spec.output_set if row_set is None else row_set
-    entries = np.exp(-2j * np.pi * np.outer(rows.indices, wv)) * (wt / np.sqrt(spec.M))
+    rows = spec.output_set.indices
+    entries = np.exp(-2j * np.pi * np.outer(rows, wv)) * (wt / np.sqrt(spec.M))
     return OperatorMatrix("warped_dft", b, spec, entries)
 
 
@@ -261,11 +261,10 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
 # spreading FFT and the uniform stages by the FFT pair above
 
 
-def apply_warped_dft(warp, spec, x, b=None, row_set=None):
+def apply_warped_dft(warp, spec, x, b=None):
     _, wv, wt = _sampled(warp, spec, b)
-    rows = spec.output_set if row_set is None else row_set
     vals = wt * np.asarray(x, dtype=complex) / np.sqrt(spec.M)
-    return _nufft.nufft_project(wv, vals, rows)
+    return _nufft.nufft_project(wv, vals, spec.output_set)
 
 
 def apply_swf_freq(warp, spec, x, b=None):

@@ -179,37 +179,36 @@ def _beta_value(jets, seq: Sequence, b: float) -> float:
     return float(val)
 
 
-def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int,
-               max_level: int = MAX_LEVEL_DEFAULT) -> float:
+def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int) -> float:
     """alpha_{k,level} at one side of x: sum_n beta_{l,n} gamma_{l,n}(k)."""
     if level < 0 or k < 0:
         raise ValueError("order and level must be >= 0")
     if level > k:
         return 0.0
-    if level > max_level:
-        raise ValueError(f"level {level} beyond table depth {max_level}")
+    if level > MAX_LEVEL_DEFAULT:
+        raise ValueError(f"level {level} beyond table depth {MAX_LEVEL_DEFAULT}")
     jets = warp.side_jets(x, level + 1, side)
-    table = gamma_tables(max_level)[level]
+    table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
     g = _gamma_values(_collapse_b(table, b), np.array([float(k)]))[:, 0]
     beta = np.array([_beta_value(jets, seq, b) for seq in table.seqs])
     return float(beta @ g)
 
 
 def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
-                         k: int, max_level: int = MAX_LEVEL_DEFAULT) -> complex:
+                         k: int) -> complex:
     """D^k [exp(a w) (Dw)^b] rebuilt from the symbolic tables.
 
-    Exact once max_level >= k; the independent check is jet arithmetic in
-    the quadrature oracle.
+    Exact for k <= MAX_LEVEL_DEFAULT; the independent check is jet
+    arithmetic in the quadrature oracle.
     """
-    if k > max_level:
-        raise ValueError("order beyond table depth; raise max_level")
+    if k > MAX_LEVEL_DEFAULT:
+        raise ValueError(f"order {k} beyond table depth {MAX_LEVEL_DEFAULT}")
     jets = warp.side_jets(x, k + 1, side)
     dw = jets[1]
     w0 = jets[0]
     total = 0.0 + 0.0j
-    for level in range(min(k, max_level) + 1):
-        al = alpha_eval(warp, x, side, b, k, level, max_level=max_level)
+    for level in range(k + 1):
+        al = alpha_eval(warp, x, side, b, k, level)
         total += al * (a * dw) ** (k - level)
     return total * cmath.exp(a * w0)
 
@@ -267,7 +266,6 @@ class SingularityKernel:
 class KernelBundle:
     b: float
     rows: int  # R: number of jump orders kept
-    max_level: int
     row_radius: float  # (M/2)(1 - mu_M): effective output half-bandwidth
     col_radius: float  # (N/2)(1 + mu_N): input scaling of the phase powers
     kernels: list
@@ -278,20 +276,18 @@ class KernelBundle:
         return min(vals) if vals else math.inf
 
 
-def choose_rows(J_min: float, kernel_tol: float = KERNEL_TOL_DEFAULT,
-                cap: int = ROW_CAP) -> int:
-    """Smallest R with J_min^-R below tolerance, capped."""
+def choose_rows(J_min: float, kernel_tol: float = KERNEL_TOL_DEFAULT) -> int:
+    """Smallest R with J_min^-R below tolerance, capped at ROW_CAP."""
     if J_min <= 1.0:
         raise ValueError("decay ratio at or below 1; no finite R converges")
     if math.isinf(J_min):
         return 1
     R = max(1, math.ceil(-math.log(kernel_tol) / math.log(J_min)))
-    return min(R, cap)
+    return min(R, ROW_CAP)
 
 
 def build_kernel(warp, spec, b: float = None, R: int = None,
-                 kernel_tol: float = KERNEL_TOL_DEFAULT,
-                 max_level: int = MAX_LEVEL_DEFAULT) -> KernelBundle:
+                 kernel_tol: float = KERNEL_TOL_DEFAULT) -> KernelBundle:
     """Assemble the jump kernels for every singularity of the map.
 
     Refuses when any one-sided decay ratio is at or below 1: the
@@ -327,7 +323,7 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         raise ValueError("R must be >= 1")
 
     # levels past R - 1 pair with no (row, column) of S
-    levels = gamma_tables(max_level)[:R]
+    levels = gamma_tables(MAX_LEVEL_DEFAULT)[:R]
     rows = np.arange(R, dtype=np.float64)
     gammas = [_gamma_values(_collapse_b(table, b), rows) for table in levels]
     scale = -1j * math.pi * M * (1.0 - spec.output_set.mu)  # -2j pi row_radius
@@ -335,11 +331,11 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     kernels = []
     for xi in warp.singularities:
         Jp, Jm = sides[xi]
-        jets_p = warp.side_jets(xi, max_level + 1, "right")
-        jets_m = warp.side_jets(xi, max_level + 1, "left")
+        jets_p = warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, "right")
+        jets_m = warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, "left")
         jp = np.array([Jp ** (-k) for k in range(R)])
         jm = np.array([Jm ** (-k) for k in range(R)])
-        # S[i, k] pairs level i - k; levels past max_level are dropped,
+        # S[i, k] pairs level i - k; levels past MAX_LEVEL_DEFAULT are dropped,
         # suppressed by scale^(k-i-1) far below tol
         S = np.zeros((R, R), dtype=np.complex128)
         for level, (table, g) in enumerate(zip(levels, gammas)):
@@ -363,7 +359,6 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     return KernelBundle(
         b=b,
         rows=R,
-        max_level=max_level,
         row_radius=row_radius,
         col_radius=col_radius,
         kernels=kernels,
@@ -451,7 +446,7 @@ def kernel_as_json(bundle: KernelBundle) -> dict:
     return {
         "weight_exponent": bundle.b,
         "rows": bundle.rows,
-        "max_level": bundle.max_level,
+        "max_level": MAX_LEVEL_DEFAULT,
         "row_radius": bundle.row_radius,
         "col_radius": bundle.col_radius,
         "singularities": ker,

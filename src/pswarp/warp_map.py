@@ -265,8 +265,8 @@ class WarpMap:
 
     # -- misc ----------------------------------------------------------------
 
-    def inverse(self, grid_size=4096):
-        return InverseMap(self, grid_size=grid_size)
+    def inverse(self):
+        return InverseMap(self)
 
     def to_json(self):
         return dict(self.spec_json)
@@ -280,10 +280,10 @@ class InverseMap:
     operator; higher-order jets of v are never required.
     """
 
-    def __init__(self, source: WarpMap, grid_size=4096):
+    def __init__(self, source: WarpMap):
         self.source = source
-        # strictly increasing samples of w bracketing every y in [0, 1]
-        xs = np.linspace(0.0, 1.0, grid_size + 1)
+        # strictly increasing samples of w (4096 cells) bracketing every y in [0, 1]
+        xs = np.linspace(0.0, 1.0, 4097)
         xs = np.unique(np.concatenate([xs, source.breakpoints]))
         self._gx = xs
         self._gw = np.append(source.eval(xs[:-1]), 1.0)
@@ -294,8 +294,8 @@ class InverseMap:
         self.min_dw = 1.0 / source.max_dw
         self.max_dw = 1.0 / source.min_dw
 
-    def eval(self, y, tol=1e-14, max_iter=60):
-        """v(y) with |w(v) - y| <= tol, vectorized."""
+    def eval(self, y):
+        """v(y) with |w(v) - y| <= 1e-14, vectorized."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         yv = np.atleast_1d(y).astype(float).ravel()
@@ -305,10 +305,10 @@ class InverseMap:
         lo = self._gx[hi_idx - 1].copy()
         hi = self._gx[hi_idx].copy()
         x = 0.5 * (lo + hi)
-        for _ in range(max_iter):
+        for _ in range(60):
             w = self.source.eval(x)
             r = w - yf
-            done = np.abs(r) <= tol
+            done = np.abs(r) <= 1e-14
             if done.all():
                 break
             lo = np.where(r < 0, x, lo)
@@ -338,11 +338,20 @@ class InverseMap:
         return _sampled_weight(y, b, self.deriv1, jumps)
 
 
+def _coincides(x, pos):
+    """Whether x is within 1e-12 of pos, mod 1.
+
+    The one on-lattice rule, for the one-sided mean weight here and the
+    untwisted fold in saf_operators.
+    """
+    return np.abs((x - pos + 0.5) % 1.0 - 0.5) <= 1e-12
+
+
 def _sampled_weight(x, b, deriv1, jumps):
     """deriv1(x)^b on sample points, the one-sided mean of slope^b at jumps.
 
-    jumps lists (position, left slope, right slope).  A point within
-    1e-12 of a position, mod 1, whose slopes differ beyond JET_MATCH_TOL
+    jumps lists (position, left slope, right slope).  A point that
+    _coincides with a position whose slopes differ beyond JET_MATCH_TOL
     takes 0.5 (left^b + right^b).
     """
     x = np.asarray(x, dtype=float)
@@ -352,7 +361,7 @@ def _sampled_weight(x, b, deriv1, jumps):
     for pos, lp, rp in jumps:
         if abs(lp - rp) <= JET_MATCH_TOL * max(1.0, abs(lp), abs(rp)):
             continue
-        hit = np.abs((xv - pos + 0.5) % 1.0 - 0.5) <= 1e-12
+        hit = _coincides(xv, pos)
         if hit.any():
             out[hit] = 0.5 * (lp**b + rp**b)
     return float(out[0]) if scalar else out

@@ -267,6 +267,21 @@ def test_dual_freq_near_coincident_jumps():
     assert Wf.deviation_from_identity(D) <= 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.0, 2e-12, 5e-12, -5e-12, 1e-10])
+def test_dual_freq_knot_just_off_the_sample_lattice(delta):
+    # a knot within 1e-12 of the sample 22/67 takes the one-sided mean
+    # weight and the untwisted fold; a knot further off takes neither.
+    # Deciding the fold by 1e-9 on M xi instead paired to 5e-2 at 2e-12
+    w = piecewise_linear_map([0.0, 22 / 67 + delta, 0.7], [0.0, 0.27, 0.66])
+    spec = domain_spec(w, 33, 67, b=0.5)
+    D = dual_W_f(w, spec)
+    fact = D.correction.fact
+    assert fact.pieces[1].lattice_aligned == (delta == 0.0)
+    Wf = build_W_f(w, spec, factorization=fact)
+    # measured 8.3e-15 or less
+    assert Wf.deviation_from_identity(D) <= 1e-12
+
+
 def test_dual_freq_neumann_operator_consistency():
     # applying the truncated series as an operator correction converges
     # to the closed-form dual; at forty terms they are indistinguishable

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pswarp._ratpoly import bernoulli_numbers, bernoulli_polynomial
 from pswarp.symbolic_kernel import (
+    MAX_LEVEL_DEFAULT,
     KernelBundle,
     _antidifference_matrix,
     _beta_value,
@@ -252,7 +253,7 @@ def test_expansion_derivative_matches_oracle(wname, w):
 def test_expansion_derivative_depth_guard():
     w = exponential_map()
     with pytest.raises(ValueError):
-        expansion_derivative(w, 0.2, "right", 1.0j, 0.5, 14, max_level=12)
+        expansion_derivative(w, 0.2, "right", 1.0j, 0.5, 14)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def test_kernel_rows_and_ratios():
 
 def _kernel_by_fractions(warp, spec, bun):
     """S of every jump by the scalar reference: b collapsed through Fraction."""
-    b, R, level_cap = bun.b, bun.rows, bun.max_level
+    b, R, level_cap = bun.b, bun.rows, MAX_LEVEL_DEFAULT
     bq = F(b)
     kpolys = [[(seq, [float(sum(F(v, t.den) * bq**i for i, v in enumerate(col)))
                       for col in num.T])

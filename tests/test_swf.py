@@ -369,6 +369,28 @@ def test_nufft_large_set_offsets_are_exact():
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("L", [0, 16385 // 4])
+def test_nufft_asymmetric_set_modulation_is_exact(L):
+    # a one-sided or skewed set is re-centered by e^(2 pi j k0 t) with k0
+    # near N/2; taking its phase from the rounded product k0 t missed the
+    # direct sum by 1e-12 to 3e-12 here
+    N = 16385
+    s = di.make_index_set(N, L)
+    ks = np.asarray(s.indices)
+    rng = np.random.default_rng(3)
+    t = np.sort(rng.uniform(-0.5, 1.0, 2 * N + 1))
+    probe_k = np.concatenate([ks[:3], ks[-3:], rng.choice(ks, 4)])
+    v = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    ref = _phase_ld(-probe_k[:, None], t[None, :]) @ v
+    got = _nufft.nufft_project(t, v, s)[probe_k - ks[0]]
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+    probe_t = np.concatenate([t[:3], t[-3:], rng.choice(t, 4)])
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    ref = _phase_ld(probe_t[:, None], ks[None, :]) @ c
+    got = _nufft.nufft_eval(probe_t, c, s)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 def test_nufft_adjoint_pairing():
     s = di.make_index_set(33, 16)
     rng = np.random.default_rng(23)
