@@ -16,12 +16,30 @@ value) meaning; this is the regularization under which the aliasing fold
 of the tail expansion converges row by row.  It is float closed form: no
 arbitrary precision, no lattice truncation.
 
-Every row takes its jet from one path, the Taylor series of zeta_q at
-the origin re-expanded at the row.  That series converges on |z| < 1
-but needs ever more terms towards |z| = 1, so a row past |z| = 1/2 is
-first moved one lattice step n into the disc: zeta_q + 1/z is
-q-quasi-periodic, zeta_q(z) = q^n (zeta_q(z - n) + 1/(z - n)) - 1/z,
-and the two pole jets are added back in closed form.
+Every row takes its jet from one path, the Taylor series c0 of zeta_q
+at the origin re-expanded at the row.  c0 is one convolution of the
+twist's exponential series with the series of 1/h,
+h(z) = (exp(j2pi z) - 1)/(j2pi z), whose coefficients B_d (j2pi)^d/d!
+(-2 zeta(d) at even d >= 2) are the same for every twist and are built
+once per length.  The series converges on |z| < 1 but needs ever more
+terms towards |z| = 1, so a row past |z| = 1/2 is first moved one
+lattice step n into the disc: zeta_q + 1/z is q-quasi-periodic,
+zeta_q(z) = q^n (zeta_q(z - n) + 1/(z - n)) - 1/z, and the two pole
+jets are added back in closed form.
+
+On |z| <= 1/2 the jets are a Horner polynomial in |z|,
+
+  c_e(|z|) = sum_j c0[j + e] C(j + e, e) |z|^j,
+
+one in-place scale and one in-place add per term over all rows and
+orders.  Its term count comes from the depth alone: term j of order e is
+at most the negative-binomial weight C(j + e, e) 2^-(j+e+1) of the
+order's size, and the top order's tail ends where that weight falls
+below 2^-64 (271 series terms at depth 63).  A row at z < 0 is the
+mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and any
+twist, so each distinct |z| is evaluated once and band rows, which come
+in +- pairs, cost half.  Every row runs the same operations, so its jets
+do not depend on the batch it is in.
 
 The Gram sums C_s(d) = sum_{m not in B} exp(j2pi m d) (m/r)^(-s), s >= 2,
 run over the complement of a band B of P consecutive integers holding 0.
@@ -35,11 +53,13 @@ within a few band widths, are summed directly.
 """
 
 import cmath
+from fractions import Fraction
+from functools import lru_cache
 import math
 
 import numpy as np
 
-from ._jets import jet_div
+from ._ratpoly import bernoulli_numbers
 
 TWO_PI_J = 2j * math.pi
 
@@ -47,55 +67,132 @@ TWO_PI_J = 2j * math.pi
 # the higher ones from direct sums
 _FOLD_POWERS = 16
 
+# zeta at even d up to this one from the exact Bernoulli number
+_EXACT_ZETA = 40
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
 
-def _series_at_origin(depth: int, twist: float) -> np.ndarray:
-    """Taylor coefficients c_0..c_depth of zeta_q at z = 0.
+
+@lru_cache(maxsize=None)
+def _zeta_even(d: int) -> float:
+    """zeta(d) at even d >= 2, rounded once.
+
+    Up to d = _EXACT_ZETA from the exact Bernoulli number and a 60-digit
+    pi, zeta(d) = |B_d| (2pi)^d / (2 d!); past it 1 + 2^-d, as 3^-d is
+    then below half an ulp.
+    """
+    if d > _EXACT_ZETA:
+        return 1.0 + 2.0 ** -d
+    B = bernoulli_numbers(_EXACT_ZETA)[d]
+    return float(abs(B) * (2 * _PI) ** d / (2 * math.factorial(d)))
+
+
+@lru_cache(maxsize=None)
+def _inverse_h_series(n: int) -> np.ndarray:
+    """Taylor coefficients B_d (j2pi)^d / d!, d < n, of 1/h(z) = j2pi z/(exp(j2pi z) - 1).
+
+    By Euler's formula B_d (2pi)^d / d! = -2 (-1)^(d/2) zeta(d) at even
+    d >= 2, the series reads 1, -pi j, then -2 zeta(d) at even d and 0
+    at odd d >= 3.  The same for every twist; read-only.
+    """
+    out = np.zeros(n, dtype=np.complex128)
+    out[:2] = 1.0, -1j * math.pi
+    out[2::2] = [-2.0 * _zeta_even(d) for d in range(2, n, 2)]
+    out.flags.writeable = False
+    return out
+
+
+def _series_at_origin(d_max: int, twist: float) -> np.ndarray:
+    """Taylor coefficients c_0..c_d_max of zeta_q at z = 0.
 
     zeta_q = (g(z) - 1)/z with g = exp(j2pi t z)/h(z) and
-    h = (exp(j2pi z) - 1)/(j2pi z); h has no zeros inside |z| < 1, so the
-    division is well conditioned and c_d = g_{d+1} exactly.  The
-    untwisted symmetric sum adds the constant pi j dropped by the
-    one-sided exponential form.
+    h = (exp(j2pi z) - 1)/(j2pi z), so c_d = g_{d+1}: one convolution of
+    the twist's exponential series with the series of 1/h
+    (_inverse_h_series).  The untwisted symmetric sum adds the constant
+    pi j dropped by the one-sided exponential form.  A twist past 1/2 is
+    the conjugate of the twist 1 - t, whose exponential series cancels
+    less.
     """
-    n = depth + 2
-    num = np.empty(n, dtype=np.complex128)
-    den = np.empty(n, dtype=np.complex128)
-    num[0] = 1.0
-    den[0] = 1.0
+    if twist > 0.5:
+        return _series_at_origin(d_max, 1.0 - twist).conj()
+    n = d_max + 2
+    expo = np.empty(n, dtype=np.complex128)
+    expo[0] = 1.0
     wt = TWO_PI_J * twist
     for d in range(1, n):
-        num[d] = num[d - 1] * wt / d
-        den[d] = den[d - 1] * TWO_PI_J / (d + 1)
-    g = jet_div(num, den)
-    c = np.array(g[1:], dtype=np.complex128)
+        expo[d] = expo[d - 1] * wt / d
+    c = np.convolve(expo, _inverse_h_series(n))[1:n]
     if twist == 0.0:
         c[0] += 1j * math.pi
     return c
 
 
+@lru_cache(maxsize=None)
+def _last_term(depth: int) -> int:
+    """Last origin-series index the jets of orders <= depth need on |z| <= 1/2.
+
+    Term d of order e at |z| <= 1/2 is at most the negative-binomial
+    weight C(d, e) 2^-(d-e) 2^-(e+1) of the order's scale 2^(e+1) (the
+    nearest poles of zeta_q sit at z = +-1, so |c0[d]| is about 1); the
+    top order e = depth has the heaviest tail.  Its first index past the
+    mode with weight below 2^-64 ends the series for every order.
+    """
+    log_w, d = -(depth + 1.0), depth
+    while True:
+        ratio = (d + 1) / (2.0 * (d + 1 - depth))
+        if ratio < 1.0 and log_w < -64.0:
+            return d
+        log_w += math.log2(ratio)
+        d += 1
+
+
+@lru_cache(maxsize=None)
+def _binomials(depth: int) -> np.ndarray:
+    """C(j + e, e) for the Horner terms j of every order e <= depth; read-only.
+
+    Exact integers, column by column C(j + e, e) = C(j + e - 1, e - 1)
+    (j + e) / e, each rounded once.  The term count grows with depth, so
+    a table serves every smaller depth as its top-left block.
+    """
+    terms = _last_term(depth) - depth + 1
+    j = np.arange(terms).astype(object)
+    cols = [np.ones(terms, dtype=object)]
+    for e in range(1, depth + 1):
+        cols.append(cols[-1] * (j + e) // e)
+    binom = np.stack(cols, axis=1).astype(np.float64)
+    binom.flags.writeable = False
+    return binom
+
+
 def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
     """Jets of zeta_q at every row of z, |z| <= 1/2, from the origin series.
 
-    out[r, e] = sum_{d >= e} c0[d] C(d, e) z_r^(d-e), with the binomial
-    factor built by term *= z d/(d - e) for all rows and orders at once.
-    The origin series converges for |z| < 1, so on |z| <= 1/2 its terms
-    fall at least geometrically by 1/2; the term count, set by the row of
-    largest |z|, takes them below double precision for every row, and the
-    extra terms a smaller row sees in a larger batch fall below its last
-    bit.  Returns (rows, depth + 1).
+    out[r, e] = sum_j A[j, e] |z_r|^j with A[j, e] = c0[j + e] C(j + e, e),
+    by Horner on the float view: per term one in-place scale and one
+    in-place add.  Each distinct |z| is evaluated once, and a row at
+    z < 0 is the mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real
+    z and any twist (T_s(-z, q) = (-1)^s T_s(z, conj q)).  The term count
+    comes from depth alone (_last_term), so every row runs the same
+    operations whatever batch it is in.  Returns (rows, depth + 1).
     """
-    az = float(np.max(np.abs(z)))
-    d_max = depth + int(math.ceil(0.8 * depth / (0.75 - az))) + 180
-    c0 = _series_at_origin(d_max, twist)
-    e = np.arange(depth + 1)
-    out = np.tile(c0[:depth + 1], (z.size, 1))
-    term = np.ones((z.size, depth + 1))
-    for d in range(1, d_max + 1):
-        k = min(d, depth + 1)  # orders e < d take a term at this d
-        t = term[:, :k]
-        t *= z[:, None] * d / (d - e[:k])
-        out[:, :k] += c0[d] * t
-    return out
+    c0 = _series_at_origin(_last_term(depth), twist)
+    shifted = np.lib.stride_tricks.sliding_window_view(c0, depth + 1)  # c0[j + e]
+    # depths 2^(k-1) .. 2^k - 1 share the table of depth 2^k - 1
+    binom = _binomials(2 ** depth.bit_length() - 1)[:shifted.shape[0], :depth + 1]
+    A = (shifted * binom).view(np.float64)
+    az, where = np.unique(np.abs(z), return_inverse=True)
+    x = az[:, None]
+    acc = np.tile(A[-1], (az.size, 1))
+    for j in range(A.shape[0] - 2, -1, -1):
+        acc *= x
+        acc += A[j]
+    out = acc[where]
+    neg = z < 0.0
+    if neg.any():
+        # (-1)^(e+1) on the real parts, (-1)^e on the imaginary parts
+        mirror = np.repeat((-1.0) ** np.arange(1, depth + 2), 2)
+        mirror[1::2] *= -1.0
+        out[neg] *= mirror
+    return out.view(np.complex128)
 
 
 def _pole_jets(x: np.ndarray, depth: int) -> np.ndarray:

@@ -91,7 +91,14 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     return G
 
 
-def _spectral_radius(C: np.ndarray) -> float:
+def _spectral_radius(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> float:
+    """Spectral radius of the compressed tail product H_dual H' G.
+
+    (H' G) H_dual has the same nonzero eigenvalues and is N x N against
+    (J R) x (J R), so the eigenvalues come from the smaller of the two.
+    """
+    HG = H.conj().T @ G
+    C = H_dual @ HG if H.shape[0] <= H.shape[1] else HG @ H_dual
     return float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
 
 
@@ -119,7 +126,7 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
     n = G.shape[0]
     C = H_dual @ H.conj().T @ G
     if radius is None:
-        radius = _spectral_radius(C)
+        radius = _spectral_radius(H, G, H_dual)
     if radius >= 1.0:
         raise ValueError(
             "dual correction series diverges: compressed tail product has "
@@ -181,7 +188,7 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     H = stacked_blocks(fact)
     H_dual = stacked_blocks(fact_dual)
     G = tail_row_gram(fact)
-    radius = _spectral_radius(H_dual @ H.conj().T @ G)
+    radius = _spectral_radius(H, G, H_dual)
     Z = compute_Z(H, G, H_dual, radius=radius)
     return DualFactorization(b=b, b_dual=b_dual, H=H, H_dual=H_dual,
                              G=G, Z=Z, spectral_radius=radius,

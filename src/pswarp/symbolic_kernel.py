@@ -26,7 +26,7 @@ aliasing correction; the kernel matrix built here is its middle factor.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import cmath
 import math
 
@@ -104,6 +104,19 @@ class GammaLevel:
     seqs: tuple
     den: int
     num: np.ndarray  # (sequences, l + 1, 2l + 1), dtype object
+
+    @cached_property
+    def nonzero(self) -> tuple:
+        """(cells, starts, powers, values): the nonzero num entries by k coefficient.
+
+        Grouped by cell n (2l + 1) + j of the (sequences, 2l + 1) k
+        coefficients: cells[c] owns values[starts[c]:starts[c + 1]], whose
+        b exponents are powers.  About 30% of the entries are nonzero.
+        """
+        by_cell = self.num.transpose(0, 2, 1)  # (sequences, 2l + 1, l + 1)
+        n, j, i = np.nonzero(by_cell != 0)
+        cells, starts = np.unique(n * by_cell.shape[1] + j, return_index=True)
+        return cells, starts, i, by_cell[n, j, i]
 
 
 def _antidifference_matrix(degree: int) -> tuple:
@@ -224,15 +237,19 @@ def _collapse_b(table: GammaLevel, b: float) -> np.ndarray:
     float, so b = m / 2^e exactly.  Each k coefficient
     sum_i (num[i] / den) (m / 2^e)^i is one exact integer ratio over
     den 2^(e l), rounded once by int / int division: the same floats as
-    collapsing through Fraction.
+    collapsing through Fraction.  Only the nonzero entries are summed
+    (GammaLevel.nonzero); a cell without any is exactly 0.
     """
     m, two_e = float(b).as_integer_ratio()
     shift = two_e.bit_length() - 1
     top = table.num.shape[1] - 1
     bpow = np.array([m**i << (shift * (top - i)) for i in range(top + 1)],
                     dtype=object)
-    acc = (table.num * bpow[:, None]).sum(axis=1)
-    return (acc / (table.den << (shift * top))).astype(np.float64)
+    cells, starts, powers, values = table.nonzero
+    acc = np.add.reduceat(values * bpow[powers], starts)
+    out = np.zeros(table.num.shape[::2])
+    out.flat[cells] = acc / (table.den << (shift * top))
+    return out
 
 
 def _gamma_values(coef: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -220,6 +220,26 @@ def test_dual_build_computes_the_radius_once(monkeypatch):
         compute_Z(dfact.H, dfact.G, dfact.H_dual, radius=1.0)
 
 
+def test_dual_radius_from_the_smaller_product(monkeypatch):
+    # (H'G) H_dual is N x N and shares the nonzero eigenvalues of the
+    # (J R)-square H_dual H'G: the radius comes from the smaller of the two,
+    # here N = 33 < J R = 144 and J R = 64 < N = 129
+    w = exponential_map()
+    cases = [_pl_freq(), (w, domain_spec(w, 129, 259, b=0.5))]
+    eigvals = np.linalg.eigvals
+    for warp, spec in cases:
+        fact = build_factorization(warp, spec, 0.5)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda C: calls.append(C.shape) or eigvals(C))
+        dfact = build_dual_factorization(warp, spec, fact=fact)
+        monkeypatch.undo()
+        n = min(dfact.H.shape)
+        assert calls == [(n, n)]
+        full = eigvals(dfact.H_dual @ dfact.H.conj().T @ dfact.G)
+        assert dfact.spectral_radius == pytest.approx(np.max(np.abs(full)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # frequency-domain dual
 

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pswarp._lattice import (
+    _inverse_h_series,
     band_complement_power_sums,
     lattice_tail_values,
     unit_lattice_jets,
 )
 from pswarp.dense_oracle import _combined_power_tails
+from pswarp.symbolic_kernel import ROW_CAP
 
 mp.mp.dps = 40
 
@@ -122,6 +124,41 @@ def test_tail_symmetries(z, t):
     Tf = lattice_tail_values(-z, 6, -t)
     signs = (-1.0) ** np.arange(1, 7)
     assert np.allclose(Tf, signs * T, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [67, 259])
+@pytest.mark.parametrize("t", [0.0, 0.123, 0.5, 1.0 - 1e-9])
+def test_band_rows_mirror_bit_for_bit(M, t):
+    # T_s(-z, q) = (-1)^s conj(T_s(z, q)) for real z; the engine evaluates
+    # each |z| once, so the band rows at -z are exact mirrors of those at z
+    z = np.arange(1, M // 2 + 1) / M
+    pos = lattice_tail_values(z, ROW_CAP, t)
+    neg = lattice_tail_values(-z, ROW_CAP, t)
+    assert np.array_equal(neg, (-1.0) ** np.arange(1, ROW_CAP + 1) * np.conj(pos))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.123, 0.5, 1.0 - 1e-9])
+def test_row_cap_depth_at_the_disc_edge(t):
+    # |z| = 1/2 needs the most Horner terms and the top order has the
+    # heaviest tail: the term count set by depth alone holds there.
+    # Measured 2e-15; the bound needs the 1/h series rounded once per
+    # coefficient, as one from a float division recurrence misses by 1e-13
+    zs = np.array([0.5, 0.4999, -0.5, -0.4999])
+    T = lattice_tail_values(zs, ROW_CAP + 1, t)
+    for r, z in enumerate(zs):
+        for s in (1, 2, 17, ROW_CAP // 2 + 1, ROW_CAP, ROW_CAP + 1):
+            ref = mp_lattice_sum(z, t, s)
+            assert abs(T[r, s - 1] - ref) <= 2e-14 * max(abs(ref), 1.0), (z, t, s)
+
+
+def test_inverse_h_series_is_euler():
+    # 1/h(z) = j2pi z/(exp(j2pi z) - 1) = sum_d B_d (j2pi)^d/d! z^d, each
+    # coefficient rounded once, odd ones past d = 1 exactly zero
+    c = _inverse_h_series(300)
+    for d in range(300):
+        ref = complex(mp.bernoulli(d) * (2j * mp.pi) ** d / mp.factorial(d))
+        assert abs(c[d] - ref) <= 2.3e-16 * abs(ref), d
+    assert not c.flags.writeable
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 7])
