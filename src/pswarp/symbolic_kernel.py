@@ -20,6 +20,14 @@ level one common denominator and per sequence an integer coefficient
 array in (b, k).  Numeric callers collapse b exactly per level
 (_collapse_b) and evaluate the k polynomials in floats.
 
+The betas of one level come as one table over a stack of jet rows
+(_beta_table): Dw^(b + shift) once per row and distinct shift, then one
+product per part column, with short sequences padded by an exact 1.0, so
+every entry is the scalar definition's float.  A level whose betas are all
+exactly 0 contributes nothing to any jump, and build_kernel skips its
+gammas: a piecewise-linear map, whose jets past Dw all vanish, builds
+level 0 only.
+
 The one-sided jumps of D^i phi at a singularity feed the low-rank
 aliasing correction; the kernel matrix built here is its middle factor.
 """
@@ -118,6 +126,22 @@ class GammaLevel:
         cells, starts = np.unique(n * by_cell.shape[1] + j, return_index=True)
         return cells, starts, i, by_cell[n, j, i]
 
+    @cached_property
+    def factors(self) -> tuple:
+        """(shifts, which, orders): the beta_{l,n} factors in table order.
+
+        Sequence n takes Dw to the power b + shifts[which[n]] (its
+        dw_shift; shifts lists each distinct one once) and multiplies by
+        D^m w for m in orders[n], descending, padded to the level's most
+        parts with -1: an index to a 1.0 appended after the jets.
+        """
+        shifts = sorted({seq.dw_shift for seq in self.seqs})
+        which = np.array([shifts.index(seq.dw_shift) for seq in self.seqs])
+        orders = np.full((len(self.seqs), max(len(seq.parts) for seq in self.seqs)), -1)
+        for n, seq in enumerate(self.seqs):
+            orders[n, :len(seq.parts)] = [j + 1 for j in seq.parts]
+        return tuple(shifts), which, orders
+
 
 def _antidifference_matrix(degree: int) -> tuple:
     """(den, A): the antidifference in k of k^m is sum_r A[m, r] k^r / den.
@@ -183,13 +207,24 @@ def gamma_tables(max_level: int) -> tuple:
 # numeric expansion coefficients
 
 
-def _beta_value(jets, seq: Sequence, b: float) -> float:
-    """beta_{l,n} from one-sided jet values D^m w (jets[m])."""
-    dw = jets[1]
-    val = dw ** (b + seq.dw_shift)
-    for j in seq.parts:
-        val *= jets[j + 1]
-    return float(val)
+def _beta_table(jets: np.ndarray, table: GammaLevel, b: float) -> np.ndarray:
+    """beta_{l,n} of every sequence n of one level on every row of jets.
+
+    jets holds one-sided jet values D^m w per row, m = 0 .. l + 1 or more;
+    returns (rows, sequences).  Per entry the operations of the scalar
+    definition, in its order: Dw^(b + dw_shift) as a numpy scalar power,
+    formed once per row and distinct shift, then one product per part,
+    descending, where a padded part multiplies by an exact 1.0.
+    """
+    shifts, which, orders = table.factors
+    rows = jets.shape[0]
+    powers = np.array([[dw ** (b + s) for s in shifts] for dw in jets[:, 1]],
+                      dtype=np.float64).reshape(rows, len(shifts))
+    beta = powers[:, which]
+    padded = np.concatenate([jets, np.ones((rows, 1))], axis=1)
+    for col in orders.T:
+        beta *= padded[:, col]
+    return beta
 
 
 def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int) -> float:
@@ -203,8 +238,7 @@ def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int) -> float
     jets = warp.side_jets(x, level + 1, side)
     table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
     g = _gamma_values(_collapse_b(table, b), np.array([float(k)]))[:, 0]
-    beta = np.array([_beta_value(jets, seq, b) for seq in table.seqs])
-    return float(beta @ g)
+    return float(_beta_table(jets[None], table, b)[0] @ g)
 
 
 def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
@@ -307,6 +341,15 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
                  kernel_tol: float = KERNEL_TOL_DEFAULT) -> KernelBundle:
     """Assemble the jump kernels for every singularity of the map.
 
+    One pass per level covers every jump and both sides: the level's
+    betas on all 2J one-sided jet rows (_beta_table), then, if any of
+    them is nonzero, its gamma values at the R row orders, one sequential
+    sum over the sequences per row for alpha, and every jump's S band
+    from it.  A level whose betas are all exactly 0 is skipped, so it
+    collapses no gamma and its band stays 0: on a piecewise-linear map
+    every jet past Dw is 0 and only level 0 is built.  NaN or inf betas
+    are not 0 and are kept.
+
     Refuses when any one-sided decay ratio is at or below 1: the
     correction series would diverge there, and the sampling geometry has
     to change (more output samples, or less skewed index sets).
@@ -319,13 +362,12 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     if row_radius <= 0:
         raise ValueError("output index set fully skewed; row scale vanished")
 
-    sides = {}
+    ratios = []
     for xi in warp.singularities:
-        dplus = float(warp.side_jets(xi, 1, "right")[1])
-        dminus = float(warp.side_jets(xi, 1, "left")[1])
+        dminus, dplus = warp._jump_slopes[xi]
         Jp = row_radius / (col_radius * dplus)
         Jm = row_radius / (col_radius * dminus)
-        sides[xi] = (Jp, Jm)
+        ratios.append((Jp, Jm))
         if min(Jp, Jm) <= 1.0:
             raise ValueError(
                 f"aliasing correction diverges at singularity x={xi:g}: "
@@ -333,46 +375,45 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
             )
 
     if R is None:
-        J_min = min((min(v) for v in sides.values()), default=math.inf)
-        R = choose_rows(J_min, kernel_tol) if sides else 1
+        J_min = min((min(v) for v in ratios), default=math.inf)
+        R = choose_rows(J_min, kernel_tol) if ratios else 1
     R = int(R)
     if R < 1:
         raise ValueError("R must be >= 1")
 
-    # levels past R - 1 pair with no (row, column) of S
-    levels = gamma_tables(MAX_LEVEL_DEFAULT)[:R]
+    # rows 2j and 2j + 1: right and left jets of jump j
+    jets = np.array([warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
+                     for xi in warp.singularities for side in ("right", "left")],
+                    dtype=np.float64).reshape(-1, MAX_LEVEL_DEFAULT + 2)
+    jp = np.array([[Jp ** (-k) for k in range(R)] for Jp, _ in ratios]).reshape(-1, R)
+    jm = np.array([[Jm ** (-k) for k in range(R)] for _, Jm in ratios]).reshape(-1, R)
     rows = np.arange(R, dtype=np.float64)
-    gammas = [_gamma_values(_collapse_b(table, b), rows) for table in levels]
     scale = -1j * math.pi * M * (1.0 - spec.output_set.mu)  # -2j pi row_radius
+    # S[j, i, k] pairs level i - k; levels past R - 1 pair with no (row,
+    # column), and levels past MAX_LEVEL_DEFAULT are dropped, suppressed by
+    # scale^(k-i-1) far below tol
+    S = np.zeros((len(ratios), R, R), dtype=np.complex128)
+    for level, table in enumerate(gamma_tables(MAX_LEVEL_DEFAULT)[:R]):
+        beta = _beta_table(jets, table, b)
+        if not beta.any():
+            continue
+        g = _gamma_values(_collapse_b(table, b), rows)
+        # alpha_{i,level} per jet row: summed over the sequences in table order
+        alpha = np.add.accumulate(beta[:, :, None] * g, axis=1)[:, -1]
+        k = np.arange(R - level)
+        S[:, k + level, k] = scale ** (-level - 1) * (
+            alpha[0::2, level:] * jp[:, k] - alpha[1::2, level:] * jm[:, k])
 
-    kernels = []
-    for xi in warp.singularities:
-        Jp, Jm = sides[xi]
-        jets_p = warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, "right")
-        jets_m = warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, "left")
-        jp = np.array([Jp ** (-k) for k in range(R)])
-        jm = np.array([Jm ** (-k) for k in range(R)])
-        # S[i, k] pairs level i - k; levels past MAX_LEVEL_DEFAULT are dropped,
-        # suppressed by scale^(k-i-1) far below tol
-        S = np.zeros((R, R), dtype=np.complex128)
-        for level, (table, g) in enumerate(zip(levels, gammas)):
-            bp = np.array([_beta_value(jets_p, seq, b) for seq in table.seqs])
-            bm = np.array([_beta_value(jets_m, seq, b) for seq in table.seqs])
-            # alpha_{i,level}: summed over the sequences in table order
-            ap = np.add.accumulate(bp[:, None] * g, axis=0)[-1]
-            am = np.add.accumulate(bm[:, None] * g, axis=0)[-1]
-            k = np.arange(R - level)
-            S[k + level, k] = scale ** (-level - 1) * (
-                ap[level:] * jp[k] - am[level:] * jm[k])
-        kernels.append(
-            SingularityKernel(
-                xi=float(xi),
-                image=float(warp.eval(xi) % 1.0),
-                S=S,
-                J_plus=Jp,
-                J_minus=Jm,
-            )
+    kernels = [
+        SingularityKernel(
+            xi=float(xi),
+            image=float(warp.eval(xi) % 1.0),
+            S=S_j,
+            J_plus=Jp,
+            J_minus=Jm,
         )
+        for xi, S_j, (Jp, Jm) in zip(warp.singularities, S, ratios)
+    ]
     return KernelBundle(
         b=b,
         rows=R,

@@ -129,6 +129,9 @@ class WarpMap:
     def _classify(self):
         sing = []
         classes = {}
+        # (left, right) first derivatives at each singularity, for the
+        # jump weights and decay ratios downstream
+        slopes = {}
         overall = math.inf
         for xi in self.breakpoints:
             left = self.side_jets(xi, CLASSIFY_ORDER, "left")
@@ -150,9 +153,11 @@ class WarpMap:
                 first = int(np.argmax(mismatch))
                 sing.append(float(xi))
                 classes[float(xi)] = first - 1
+                slopes[float(xi)] = (float(left[1]), float(right[1]))
                 overall = min(overall, first - 1)
         self.singularities = sing
         self.singularity_classes = classes
+        self._jump_slopes = slopes
         self.smoothness_class = overall if sing else math.inf
 
     def _derivative_range(self):
@@ -258,9 +263,7 @@ class WarpMap:
         exactly only under this convention; plain one-sided sampling leaves
         a rank-one defect of half the jump divided by the grid size.
         """
-        jumps = [(xi, float(self.side_jets(xi, 1, "left")[1]),
-                  float(self.side_jets(xi, 1, "right")[1]))
-                 for xi in self.singularities]
+        jumps = [(xi, *self._jump_slopes[xi]) for xi in self.singularities]
         return _sampled_weight(x, b, self.deriv1, jumps)
 
     # -- misc ----------------------------------------------------------------
@@ -332,8 +335,8 @@ class InverseMap:
 
     def sampled_weight(self, y, b):
         """(Dv)^b on a sample grid, one-sided mean at jumps (cf. WarpMap)."""
-        jumps = [(eta, 1.0 / float(self.source.side_jets(xi, 1, "left")[1]),
-                  1.0 / float(self.source.side_jets(xi, 1, "right")[1]))
+        slopes = self.source._jump_slopes
+        jumps = [(eta, 1.0 / slopes[xi][0], 1.0 / slopes[xi][1])
                  for eta, xi in self._sing_pairs]
         return _sampled_weight(y, b, self.deriv1, jumps)
 

@@ -14,7 +14,7 @@ from pswarp.symbolic_kernel import (
     MAX_LEVEL_DEFAULT,
     KernelBundle,
     _antidifference_matrix,
-    _beta_value,
+    _beta_table,
     _poly_string,
     alpha_eval,
     build_kernel,
@@ -25,11 +25,14 @@ from pswarp.symbolic_kernel import (
     kernel_as_json,
     tables_as_json,
 )
+from pswarp import symbolic_kernel
 from pswarp.warp_map import (
+    BUILTIN_MAPS,
     cubic_seam_map,
     exponential_map,
     identity_map,
     piecewise_linear_map,
+    spline_map,
 )
 from pswarp.domain_indexing import domain_spec
 from pswarp.dense_oracle import entry as oracle_entry, phi_derivative
@@ -282,6 +285,15 @@ def test_kernel_rows_and_ratios():
     assert bun25.rows == 25
 
 
+def _beta_value(jets, seq, b: float) -> float:
+    """beta_{l,n} from one-sided jet values D^m w (jets[m])."""
+    dw = jets[1]
+    val = dw ** (b + seq.dw_shift)
+    for j in seq.parts:
+        val *= jets[j + 1]
+    return float(val)
+
+
 def _kernel_by_fractions(warp, spec, bun):
     """S of every jump by the scalar reference: b collapsed through Fraction."""
     b, R, level_cap = bun.b, bun.rows, MAX_LEVEL_DEFAULT
@@ -327,6 +339,68 @@ def test_kernel_matches_fraction_collapse_bit_for_bit(b):
         bun = build_kernel(w, spec, b, R=R)
         for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
             assert np.array_equal(ker.S, ref), (w.spec["type"], b)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 0.7123456789, 1.0])
+@pytest.mark.parametrize("w", [exponential_map(), cubic_seam_map(), spline_map(),
+                               piecewise_linear_map()],
+                         ids=["exp", "cubic", "spline", "pl"])
+def test_beta_table_matches_scalar_definition_bit_for_bit(w, b):
+    # one stack of jet rows, both sides of every jump, against the scalar
+    # definition one beta at a time; the bits, zero signs included
+    jets = np.array([w.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
+                     for xi in w.singularities for side in ("right", "left")])
+    for table in gamma_tables(MAX_LEVEL_DEFAULT):
+        got = _beta_table(jets, table, b)
+        ref = np.array([[_beta_value(row, seq, b) for seq in table.seqs] for row in jets])
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), (w.spec_json["type"], table.seqs[0].level)
+
+
+def _count_collapses(monkeypatch):
+    levels = []
+    collapse = symbolic_kernel._collapse_b
+
+    def counted(table, b):
+        levels.append(table.seqs[0].level)
+        return collapse(table, b)
+
+    monkeypatch.setattr(symbolic_kernel, "_collapse_b", counted)
+    return levels
+
+
+@pytest.mark.parametrize("b", [0.5, 0.7123456789])
+def test_piecewise_linear_kernel_collapses_level_zero_only(monkeypatch, b):
+    # every jet past Dw is exactly 0, so every beta past level 0 is 0 and
+    # those levels are skipped; S is still the scalar reference's
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8])
+    spec = domain_spec(w, 9, 19, b=b)
+    levels = _count_collapses(monkeypatch)
+    bun = build_kernel(w, spec, b, R=64)
+    assert levels == [0]
+    assert len(bun.kernels) == 3
+    for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
+        assert np.array_equal(ker.S, ref)
+
+
+@pytest.mark.parametrize("R", [6, 20, 64])
+def test_smooth_jets_collapse_every_reachable_level(monkeypatch, R):
+    # the cubic seam's D^2 w is nonzero on both sides, so no level is dead
+    w = cubic_seam_map()
+    spec = domain_spec(w, 9, 31, b=0.3)
+    levels = _count_collapses(monkeypatch)
+    build_kernel(w, spec, R=R)
+    assert levels == list(range(min(R, MAX_LEVEL_DEFAULT + 1)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
+def test_stored_jump_slopes_are_the_side_jets(name):
+    w = BUILTIN_MAPS[name]()
+    assert sorted(w._jump_slopes) == sorted(w.singularities)
+    for xi, (left, right) in w._jump_slopes.items():
+        for got, side in ((left, "left"), (right, "right")):
+            want = w.side_jets(xi, 1, side)[1]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, xi, side)
 
 
 def test_kernel_refuses_divergent_geometry():

@@ -60,8 +60,8 @@ def test_tail_values_match_oracle_low_order(z, t):
 @pytest.mark.parametrize("z", [0.07, 0.3, 0.49, 0.51, 0.894])
 @pytest.mark.parametrize("t", [0.123, 0.55, 0.5])
 def test_tail_values_high_order(z, t):
-    # both jet branches (re-centered series and direct division) hold to
-    # near machine precision at order 64
+    # rows inside |z| = 1/2 and rows moved one lattice step into it both
+    # hold to near machine precision at order 64
     T = lattice_tail_values(z, 64, t)
     for s in (16, 33, 64):
         ref = mp_two_sided(mp.mpf(z), mp.mpf(t), s)
@@ -182,7 +182,8 @@ def test_symmetric_tails_scaled():
                        + (-1) ** s * (1 / q) ** (K + 1) * mp.lerchphi(1 / q, s, K + 1))
                       * mp.mpf(scale) ** s)
         assert abs(got[s - 2] - ref) <= 1e-11 * abs(ref), s
-    # direct branch, large s: brute force converges quickly there
+    # large s, where brute force converges quickly: s = 8 from the
+    # residue-class fold, s = 30 and 128 from the direct sums
     for s in (8, 30, 128):
         ref = mp.mpc(0)
         for m in range(K + 1, K + 1 + 1200):

@@ -50,8 +50,10 @@ def test_pole_remainder_pinned_values():
 
 
 def test_pole_remainder_branches_overlap():
-    # both jet branches, the re-centred origin series below |z| = 1/2 and
-    # direct division above, against mpmath derivatives of the definition
+    # one jet path on both sides of |z| = 1/2: the origin series at the
+    # row below it, and above it the row moved one lattice step into the
+    # disc with its pole jets added back; against mpmath derivatives of
+    # the definition
     mp.mp.dps = 40
 
     def remainder(z):
