@@ -27,19 +27,23 @@ lattice step n into the disc: zeta_q + 1/z is q-quasi-periodic,
 zeta_q(z) = q^n (zeta_q(z - n) + 1/(z - n)) - 1/z, and the two pole
 jets are added back in closed form.
 
-On |z| <= 1/2 the jets are a Horner polynomial in |z|,
+On |z| <= 1/2 the jets are a polynomial in |z|,
 
   c_e(|z|) = sum_j c0[j + e] C(j + e, e) |z|^j,
 
-one in-place scale and one in-place add per term over all rows and
-orders.  Its term count comes from the depth alone: term j of order e is
-at most the negative-binomial weight C(j + e, e) 2^-(j+e+1) of the
-order's size, and the top order's tail ends where that weight falls
-below 2^-64 (271 series terms at depth 63).  A row at z < 0 is the
-mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and any
-twist, so each distinct |z| is evaluated once and band rows, which come
-in +- pairs, cost half.  Every row runs the same operations, so its jets
-do not depend on the batch it is in.
+taken for all rows and orders as one contraction of a power table
+|z_r|^j with the coefficient table A[j, e] = c0[j + e] C(j + e, e).
+The contraction is numpy's own einsum loop, not BLAS: a matrix product
+sends one row to gemv and a batch to gemm, whose sums round differently,
+while einsum sums every row in the same order whatever batch it is in.
+Its term count comes from the depth alone: term j of order e is at most
+the negative-binomial weight C(j + e, e) 2^-(j+e+1) of the order's size,
+and the top order's tail ends where that weight falls below 2^-64 (271
+series terms at depth 63).  A row at z < 0 is the mirror
+c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and any twist, so
+each distinct |z| is evaluated once and band rows, which come in +-
+pairs, cost half.  Every row runs the same operations, so its jets do
+not depend on the batch it is in.
 
 The Gram sums C_s(d) = sum_{m not in B} exp(j2pi m d) (m/r)^(-s), s >= 2,
 run over the complement of a band B of P consecutive integers holding 0.
@@ -117,9 +121,7 @@ def _series_at_origin(d_max: int, twist: float) -> np.ndarray:
     n = d_max + 2
     expo = np.empty(n, dtype=np.complex128)
     expo[0] = 1.0
-    wt = TWO_PI_J * twist
-    for d in range(1, n):
-        expo[d] = expo[d - 1] * wt / d
+    np.cumprod(TWO_PI_J * twist / np.arange(1, n), out=expo[1:])
     c = np.convolve(expo, _inverse_h_series(n))[1:n]
     if twist == 0.0:
         c[0] += 1j * math.pi
@@ -147,7 +149,7 @@ def _last_term(depth: int) -> int:
 
 @lru_cache(maxsize=None)
 def _binomials(depth: int) -> np.ndarray:
-    """C(j + e, e) for the Horner terms j of every order e <= depth; read-only.
+    """C(j + e, e) for the series terms j of every order e <= depth; read-only.
 
     Exact integers, column by column C(j + e, e) = C(j + e - 1, e - 1)
     (j + e) / e, each rounded once.  The term count grows with depth, so
@@ -167,12 +169,13 @@ def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
     """Jets of zeta_q at every row of z, |z| <= 1/2, from the origin series.
 
     out[r, e] = sum_j A[j, e] |z_r|^j with A[j, e] = c0[j + e] C(j + e, e),
-    by Horner on the float view: per term one in-place scale and one
-    in-place add.  Each distinct |z| is evaluated once, and a row at
-    z < 0 is the mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real
-    z and any twist (T_s(-z, q) = (-1)^s T_s(z, conj q)).  The term count
-    comes from depth alone (_last_term), so every row runs the same
-    operations whatever batch it is in.  Returns (rows, depth + 1).
+    one einsum contraction of the power table |z_r|^j with A on the float
+    view; einsum's own loop, not BLAS, whose gemv and gemm round a row
+    differently.  Each distinct |z| is evaluated once, and a row at z < 0
+    is the mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and
+    any twist (T_s(-z, q) = (-1)^s T_s(z, conj q)).  The term count comes
+    from depth alone (_last_term), so every row runs the same operations
+    whatever batch it is in.  Returns (rows, depth + 1).
     """
     c0 = _series_at_origin(_last_term(depth), twist)
     shifted = np.lib.stride_tricks.sliding_window_view(c0, depth + 1)  # c0[j + e]
@@ -180,12 +183,8 @@ def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
     binom = _binomials(2 ** depth.bit_length() - 1)[:shifted.shape[0], :depth + 1]
     A = (shifted * binom).view(np.float64)
     az, where = np.unique(np.abs(z), return_inverse=True)
-    x = az[:, None]
-    acc = np.tile(A[-1], (az.size, 1))
-    for j in range(A.shape[0] - 2, -1, -1):
-        acc *= x
-        acc += A[j]
-    out = acc[where]
+    powers = az[:, None] ** np.arange(A.shape[0])
+    out = np.einsum("rj,je->re", powers, A)[where]
     neg = z < 0.0
     if neg.any():
         # (-1)^(e+1) on the real parts, (-1)^e on the imaginary parts

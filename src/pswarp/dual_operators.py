@@ -114,6 +114,13 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
     phased inverse-power rows Yhat with Gram G.  H defaults to both
     roles at the self-dual weight 1/2.
 
+    The solve runs in the smaller of the two spaces, as the radius does.
+    With n = J R rows and N columns in H, n <= N solves the n x n system
+    Z (I - H_dual H' G) = G.  For n > N it solves N x N instead: with
+    HG = H' G and K = HG H_dual, push-through gives
+    (I - H_dual HG)^(-1) = I + H_dual (I - K)^(-1) HG, so
+    Z = G + (G H_dual) (I - K)^(-1) HG.
+
     Raises ValueError when the compressed product has spectral radius
     at or above one: the series diverges there, which happens exactly
     when the sampling geometry is too tight for the correction
@@ -123,8 +130,6 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
     """
     if H_dual is None:
         H_dual = H
-    n = G.shape[0]
-    C = H_dual @ H.conj().T @ G
     if radius is None:
         radius = _spectral_radius(H, G, H_dual)
     if radius >= 1.0:
@@ -132,7 +137,12 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
             "dual correction series diverges: compressed tail product has "
             f"spectral radius {radius:.3g} >= 1; the sampling geometry is "
             "outside the feasibility range for an analytic dual")
-    B = np.eye(n, dtype=np.complex128) - C
+    n, N = H.shape
+    if n > N:
+        HG = H.conj().T @ G
+        K = HG @ H_dual
+        return G + (G @ H_dual) @ np.linalg.solve(np.eye(N) - K, HG)
+    B = np.eye(n, dtype=np.complex128) - H_dual @ H.conj().T @ G
     # solve Z B = G by the transposed system; LU with partial pivoting
     return np.linalg.solve(B.T, G.T).T
 

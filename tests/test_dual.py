@@ -240,6 +240,39 @@ def test_dual_radius_from_the_smaller_product(monkeypatch):
         assert dfact.spectral_radius == pytest.approx(np.max(np.abs(full)), rel=1e-12)
 
 
+def test_resummation_solves_in_the_smaller_space(monkeypatch):
+    # Z = G (I - H_dual H'G)^(-1) needs only an N-square solve when the
+    # J R rows outnumber the N columns: here 144 x 33 solves 33-square,
+    # while the exponential map at N = 129 (64 rows) keeps its 64-square one
+    w = exponential_map()
+    cases = [(_pl_freq(), 33), ((w, domain_spec(w, 129, 259, b=0.5)), 64)]
+    solve = np.linalg.solve
+    for (warp, spec), side in cases:
+        dfact = build_dual_factorization(warp, spec)
+        H, G, H_dual = dfact.H, dfact.G, dfact.H_dual
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append(a.shape) or solve(a, b))
+        Z = compute_Z(H, G, H_dual, radius=dfact.spectral_radius)
+        monkeypatch.undo()
+        assert calls == [(side, side)]
+        n = H.shape[0]
+        direct = G @ np.linalg.inv(np.eye(n) - H_dual @ H.conj().T @ G)
+        assert np.max(np.abs(Z - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_diverging_series_is_refused_before_any_solve(monkeypatch):
+    w, spec = _pl_freq()
+    dfact = build_dual_factorization(w, spec)
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape))
+    with pytest.raises(ValueError, match="spectral radius"):
+        compute_Z(dfact.H, dfact.G, dfact.H_dual, radius=1.0)
+    with pytest.raises(ValueError, match="spectral radius"):
+        compute_Z(np.array([[2.0 + 0.0j]]), np.eye(1, dtype=complex))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # frequency-domain dual
 

@@ -338,7 +338,7 @@ def test_kernel_matches_fraction_collapse_bit_for_bit(b):
         spec = domain_spec(w, N, M, b=b)
         bun = build_kernel(w, spec, b, R=R)
         for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
-            assert np.array_equal(ker.S, ref), (w.spec["type"], b)
+            assert np.array_equal(ker.S, ref), (w.spec_json["type"], b)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5, 0.7123456789, 1.0])

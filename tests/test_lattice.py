@@ -137,6 +137,21 @@ def test_band_rows_mirror_bit_for_bit(M, t):
     assert np.array_equal(neg, (-1.0) ** np.arange(1, ROW_CAP + 1) * np.conj(pos))
 
 
+@pytest.mark.parametrize("s_max", [1, 2, 16, 21, 64, ROW_CAP + 1])
+@pytest.mark.parametrize("t", [0.0, 0.31, 0.5])
+def test_tail_values_do_not_depend_on_the_batch(s_max, t):
+    # every row sums the same series terms in the same order, so a row in
+    # a batch of any size, rows past |z| = 1/2 among them, is bit for bit
+    # the row computed alone
+    z = np.random.default_rng(0).uniform(-0.999, 0.999, 130)
+    z[:2] = 0.8, -0.3
+    alone = [lattice_tail_values(zr, s_max, t) for zr in z]
+    for size in (1, 2, 3, 34, 130):
+        together = lattice_tail_values(z[:size], s_max, t)
+        for r in range(size):
+            assert np.array_equal(together[r], alone[r]), (size, z[r])
+
+
 @pytest.mark.parametrize("t", [0.0, 0.123, 0.5, 1.0 - 1e-9])
 def test_row_cap_depth_at_the_disc_edge(t):
     # |z| = 1/2 needs the most Horner terms and the top order has the

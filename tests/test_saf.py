@@ -164,7 +164,7 @@ def test_factored_tail_rows_match_quadrature():
         spec = domain_spec(w, 33, M, b=0.5)
         fact = build_factorization(w, spec, 0.5)
         ref = dox.tail_rows(w, spec, 0.5, k_tail=2)
-        assert np.max(np.abs(fact.tail_rows(2) - ref)) < tol, w.spec["type"]
+        assert np.max(np.abs(fact.tail_rows(2) - ref)) < tol, w.spec_json["type"]
 
 
 def test_factored_tail_rows_far_from_band():
