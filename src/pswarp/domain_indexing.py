@@ -120,6 +120,21 @@ class DomainSpec:
     def M(self):
         return self.output_set.N
 
+    @property
+    def row_radius(self):
+        # effective output half-bandwidth, the scale of the tail rows m^-(i+1)
+        return 0.5 * self.M * (1.0 - self.output_set.mu)
+
+    @property
+    def col_radius(self):
+        # input scale of the column moments n^k
+        return 0.5 * self.N * (1.0 + self.input_set.mu)
+
+    def require_map(self, warp):
+        # feasibility vouches for self.warp only; `is`, as WarpMap == compares arrays
+        if warp is not self.warp:
+            raise ValueError("map is not the spec's map; build the spec from it")
+
     def describe(self):
         f = self.feasibility
         return {
@@ -146,11 +161,11 @@ def domain_spec(warp, N, M, L_N=None, L_M=None, mode=FREQUENCY_WARPING, b=0.5) -
 class FeasibilityReport:
     max_dw: float
     redundancy: float  # M/N
-    redundancy_ok: bool  # global test M/N > max Dw
+    redundancy_ok: bool  # global test M/N >= max Dw, up to one rounding
     ratio_negative: float  # z_left(M)/z_left(N), inf when vacuous
     ratio_positive: float  # z_right(M)/z_right(N)
-    signed_ok: bool  # both signed band-coverage tests
-    swf_feasible: bool
+    signed_ok: bool  # both signed band-coverage tests, same edge
+    swf_feasible: bool  # what the sampled operators accept: both tests
     J: dict  # singularity -> decay ratio (conservative one-sided max slope)
     J_min: float
     saf_feasible: bool
@@ -171,30 +186,31 @@ class FeasibilityReport:
         return "\n".join(lines)
 
 
-def singularity_decay_ratio(warp, spec_or_sets, xi, side=None):
+def singularity_decay_ratio(warp, spec, xi, side=None):
     """Decay ratio J(xi) of the aliasing-correction kernel at one singularity.
 
-    J = (M / (N Dw(xi))) * (1 - mu_M) / (1 + mu_N); at a slope jump the
-    conservative Dw is the max of the one-sided values unless a side is
-    forced.
+    J = spec.row_radius / (spec.col_radius Dw(xi)), the only definition:
+    the jump kernels take their one-sided J_plus and J_minus (sides
+    "right" and "left") from here, and the feasibility report its J.  At
+    a slope jump side=None takes the larger one-sided Dw, so J is the
+    smaller of the two one-sided ratios exactly.
     """
-    if isinstance(spec_or_sets, DomainSpec):
-        inp, out = spec_or_sets.input_set, spec_or_sets.output_set
-    else:
-        inp, out = spec_or_sets
     if side is None:
         dw = max(warp.side_jets(xi, 1, "left")[1], warp.side_jets(xi, 1, "right")[1])
     else:
         dw = warp.side_jets(xi, 1, side)[1]
-    return (out.N / (inp.N * dw)) * (1.0 - out.mu) / (1.0 + inp.mu)
+    return spec.row_radius / (spec.col_radius * dw)
 
 
 def check_feasibility(spec: DomainSpec) -> FeasibilityReport:
     warp = spec.warp
     inp, out = spec.input_set, spec.output_set
     max_dw = warp.max_dw
+    # exact band-edge coverage (identity-like maps at M = N) folds nothing
+    # into the band: coverage holds up to one rounding of max Dw
+    edge = max_dw * (1.0 - 1e-12)
     red = out.N / inp.N
-    red_ok = red > max_dw
+    red_ok = red >= edge
 
     def side_ratio(zm, zn):
         if zn == 0:
@@ -203,14 +219,15 @@ def check_feasibility(spec: DomainSpec) -> FeasibilityReport:
 
     r_neg = side_ratio(out.z_left, inp.z_left)
     r_pos = side_ratio(out.z_right, inp.z_right)
-    signed_ok = r_neg > max_dw and r_pos > max_dw
+    signed_ok = r_neg >= edge and r_pos >= edge
 
     J = {
-        float(xi): float(singularity_decay_ratio(warp, (inp, out), xi))
+        float(xi): float(singularity_decay_ratio(warp, spec, xi))
         for xi in warp.singularities
     }
     J_min = min(J.values()) if J else math.inf
-    saf_ok = signed_ok and all(j > 1.0 for j in J.values())
+    swf_ok = red_ok and signed_ok
+    saf_ok = swf_ok and all(j > 1.0 for j in J.values())
 
     failures = []
     if not red_ok:
@@ -227,7 +244,7 @@ def check_feasibility(spec: DomainSpec) -> FeasibilityReport:
         ratio_negative=r_neg,
         ratio_positive=r_pos,
         signed_ok=signed_ok,
-        swf_feasible=signed_ok,
+        swf_feasible=swf_ok,
         J=J,
         J_min=J_min,
         saf_feasible=saf_ok,

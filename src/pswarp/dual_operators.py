@@ -48,11 +48,9 @@ def stacked_blocks(fact: TailFactorization) -> np.ndarray:
     input index set.  The out-of-band tail of the corrected operator is
     (phased inverse-power rows) @ (this matrix).
     """
-    V = fact.basis.V
-    blocks = [pc.S @ V * pc.q[None, :] for pc in fact.pieces]
-    if not blocks:
+    if not fact.pieces:
         return np.zeros((0, fact.spec.N), dtype=np.complex128)
-    return np.vstack(blocks)
+    return np.vstack([pc.block for pc in fact.pieces])
 
 
 def tail_row_gram(fact: TailFactorization) -> np.ndarray:
@@ -178,23 +176,21 @@ class DualFactorization:
 
 
 def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
-                             fact: TailFactorization = None,
-                             **factor_kw) -> DualFactorization:
+                             fact: TailFactorization = None) -> DualFactorization:
     """Factor the dual correction for the weight-b operator on this spec.
 
     Builds both weight kernels on a shared expansion order, assembles
     the exact tail Gram, and resums the correction.  Maps with no
     derivative jumps give empty compressed blocks and an identity
-    correction.  A prebuilt weight-b factorization can be passed to
-    skip one kernel build.  The conjugate factorization shares the row
-    folds of the weight-b one, which do not depend on the exponent.
+    correction.  R and kernel_tol are chosen by passing the weight-b
+    build_factorization as fact; without one, the defaults are built.
+    The conjugate factorization takes fact's rows and kernel_tol, and
+    shares its column basis and row folds, which do not depend on b.
     """
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b
-    fact = saf._factorization(warp, spec, b, fact, factor_kw)
-    # on fact's rows: mixed-kernel products need matching block sizes
-    kw = {k: v for k, v in factor_kw.items() if k != "R"}
-    fact_dual = saf._reweighted_factorization(warp, fact, b_dual, **kw)
+    fact = saf._factorization(warp, spec, b, fact)
+    fact_dual = saf._reweighted_factorization(warp, fact, b_dual)
     H = stacked_blocks(fact)
     H_dual = stacked_blocks(fact_dual)
     G = tail_row_gram(fact)
@@ -205,8 +201,7 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
                              fact=fact, fact_dual=fact_dual)
 
 
-def dual_W_f(warp, spec: DomainSpec, b: float = None,
-             **factor_kw) -> OperatorMatrix:
+def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     """Exact dual of the corrected frequency-domain operator.
 
     The returned D satisfies D' W_f^(b) = I up to the kernel truncation
@@ -215,7 +210,7 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None,
     """
     b = _resolve_b(spec, b)
     _require_swf_feasible(spec)
-    dfact = build_dual_factorization(warp, spec, b, **factor_kw)
+    dfact = build_dual_factorization(warp, spec, b)
     base = saf.build_W_f(warp, spec, b=dfact.b_dual,
                          factorization=dfact.fact_dual)
     if dfact.H.size == 0:
@@ -226,8 +221,7 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None,
                           entries=entries, correction=dfact)
 
 
-def dual_W_t(warp, spec: DomainSpec, b: float = None,
-             **factor_kw) -> OperatorMatrix:
+def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     """Exact dual of the corrected time-domain interpolator.
 
     The conjugate-weight W_t times the frequency dual's correction
@@ -238,7 +232,7 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None,
     b = _resolve_b(spec, b)
     _require_tw(spec)
     _require_swf_feasible(spec)
-    dfact = build_dual_factorization(warp, spec, b, **factor_kw)
+    dfact = build_dual_factorization(warp, spec, b)
     base = saf.build_W_t(warp, spec, b=dfact.b_dual,
                          factorization=dfact.fact_dual)
     if dfact.H.size == 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,44 +33,31 @@ from .warp_map import _coincides
 # bases
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    """The column basis the corrected operators share.
-
-    V: (R, N) column moments n^k, scaled so each row peaks at 1 on the
-       wide edge of the input set.  The row side depends on the jump's
-       phase: each JumpCorrection carries its own fold U, and the tail
-       rows themselves are formed only on demand, by
-       TailFactorization.tail_rows.
-    """
-
-    V: np.ndarray
-
-
 def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
-    """((1 - mu_M)/2)^(i+1) T_{i+1}(m/M, q) on every band row m, i < R.
+    """(row_radius / M)^(i+1) T_{i+1}(m/M, q) on every band row m, i < R.
 
     The tail row basis (m / row_radius)^-(i+1) folded over the full row
     lattice with row phase q = exp(j2pi twist), all band rows in one
     lattice_tail_values call.
     """
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
-    pref = ((1.0 - spec.output_set.mu) / 2.0) ** (np.arange(R) + 1.0)
+    pref = (spec.row_radius / spec.M) ** (np.arange(R) + 1.0)
     return pref * lattice_tail_values(ms / spec.M, R, twist)
 
 
-def build_bases(spec: DomainSpec, R: int) -> BasisSet:
+def build_bases(spec: DomainSpec, R: int) -> np.ndarray:
+    """V: the (R, N) column moments (n / col_radius)^k all jumps share.
+
+    Each row peaks at 1 on the wide edge of the input set.
+    """
     if R > sk.ROW_CAP:
         raise ValueError(f"basis order capped at {sk.ROW_CAP}")
     if R < 1:
         raise ValueError("need at least one basis column")
-    mu_M = spec.output_set.mu
-    if mu_M >= 1.0:
+    if spec.row_radius <= 0:
         raise ValueError("output set fully one-sided; row basis scale degenerates")
-    col_radius = 0.5 * spec.N * (1.0 + spec.input_set.mu)
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
-    V = (ns[None, :] / col_radius) ** np.arange(R)[:, None]
-    return BasisSet(V=V)
+    return (ns[None, :] / spec.col_radius) ** np.arange(R)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +75,7 @@ class JumpCorrection:
     lattice_aligned: bool  # xi on the output sample lattice, so the twist is 0
     p_band: np.ndarray
     q: np.ndarray
+    block: np.ndarray  # (R, N) S V diag(q): what every tail product reads
 
 
 @dataclass(frozen=True)
@@ -95,37 +83,37 @@ class TailFactorization:
     spec: DomainSpec
     b: float
     rows: int
-    row_radius: float
-    col_radius: float
-    basis: BasisSet
+    V: np.ndarray  # build_bases(spec, rows)
     pieces: tuple
-    J_min: float
     kernel_tol: float
+
+    @property
+    def row_radius(self) -> float:
+        return self.spec.row_radius
 
     def tail_rows(self, k_tail: int) -> np.ndarray:
         """Factored out-of-band rows m in [-k_tail M, k_tail M), band excluded.
 
         Row m is sum over jumps of e^(j2pi m xi) (m / row_radius)^-(i+1)
-        S V q, rows ascending; a diagnostic, formed only when asked for.
+        times the jump's block, rows ascending; a diagnostic, formed only
+        when asked for.
         """
         band = self.spec.output_set.indices
         reach = k_tail * self.spec.M
         tails = np.concatenate([np.arange(-reach, band[0]), np.arange(band[-1] + 1, reach)])
         Y = (tails[:, None] / self.row_radius) ** -(np.arange(self.rows)[None, :] + 1.0)
-        V = self.basis.V
-        out = np.zeros((tails.size, V.shape[1]), dtype=np.complex128)
+        out = np.zeros((tails.size, self.spec.N), dtype=np.complex128)
         for pc in self.pieces:
             p_tail = np.exp(2j * np.pi * tails * pc.xi)
-            out += p_tail[:, None] * (Y @ pc.S @ V) * pc.q[None, :]
+            out += p_tail[:, None] * (Y @ pc.block)
         return out
 
     @cached_property
     def band_fold(self) -> np.ndarray:
         """Closed-form aliasing: the tail rows folded onto the band."""
-        shape = (self.spec.M, self.basis.V.shape[1])
-        out = np.zeros(shape, dtype=np.complex128)
+        out = np.zeros((self.spec.M, self.spec.N), dtype=np.complex128)
         for pc in self.pieces:
-            out += pc.p_band[:, None] * (pc.U @ pc.S @ self.basis.V) * pc.q[None, :]
+            out += pc.p_band[:, None] * (pc.U @ pc.block)
         return out
 
 
@@ -140,21 +128,20 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     """
     b = _resolve_b(spec, b)
     bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol)
-    basis = build_bases(spec, bundle.rows)
-    return _assemble(spec, b, bundle, basis, {}, kernel_tol)
+    V = build_bases(spec, bundle.rows)
+    return _assemble(spec, b, bundle, V, {}, kernel_tol)
 
 
-def _reweighted_factorization(warp, fact: TailFactorization, b: float,
-                              kernel_tol: float = sk.KERNEL_TOL_DEFAULT) -> TailFactorization:
-    """fact's factorization at weight exponent b, on fact's rows.
+def _reweighted_factorization(warp, fact: TailFactorization, b: float) -> TailFactorization:
+    """fact's factorization at weight exponent b, on fact's rows and kernel_tol.
 
     Only the jump kernels depend on b: the column basis and the per-jump
     row folds depend on (spec, R, twist) alone and are taken from fact.
     """
     spec = fact.spec
-    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=kernel_tol)
+    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=fact.kernel_tol)
     folds = {_fold_twist(spec.M, pc.xi): pc.U for pc in fact.pieces}
-    return _assemble(spec, b, bundle, fact.basis, folds, kernel_tol)
+    return _assemble(spec, b, bundle, fact.V, folds, fact.kernel_tol)
 
 
 def _fold_twist(M: int, xi: float) -> float:
@@ -166,11 +153,13 @@ def _fold_twist(M: int, xi: float) -> float:
     return 0.0 if _coincides(round(M * xi) / M, xi) else (-M * xi) % 1.0
 
 
-def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
+def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
               kernel_tol: float) -> TailFactorization:
-    """One JumpCorrection per kernel of bundle.
+    """One JumpCorrection per kernel of bundle, its block S V diag(q) formed here.
 
     folds maps a twist to its row fold and gains each fold made here.
+    The growth profile is each order's largest |block| entry: |q| = 1,
+    so it is the order's peak contribution.
     """
     M = spec.M
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
@@ -186,7 +175,9 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
             U = _row_fold(spec, bundle.rows, twist)
             folds[twist] = U.real if aligned else U
         U = folds[twist]
-        profile = np.abs(ker.S @ basis.V).max(axis=1)
+        q = np.exp(-2j * np.pi * ns * ker.image)
+        block = ker.S @ V * q
+        profile = np.abs(block).max(axis=1)
         positive = profile[profile > 0]
         if positive.size:
             floor = min(floor, float(positive.min()))
@@ -198,7 +189,8 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
             U=U,
             lattice_aligned=aligned,
             p_band=np.exp(2j * np.pi * ms * ker.xi),
-            q=np.exp(-2j * np.pi * ns * ker.image),
+            q=q,
+            block=block,
         ))
 
     if pieces and worst_profile > 1e3 * max(floor, kernel_tol):
@@ -215,11 +207,8 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
         spec=spec,
         b=b,
         rows=bundle.rows,
-        row_radius=bundle.row_radius,
-        col_radius=bundle.col_radius,
-        basis=basis,
+        V=V,
         pieces=tuple(pieces),
-        J_min=bundle.J_min,
         kernel_tol=float(kernel_tol),
     )
 
@@ -229,10 +218,10 @@ def _assemble(spec: DomainSpec, b: float, bundle, basis: BasisSet, folds: dict,
 
 
 def _factorization(warp, spec: DomainSpec, b: float,
-                   fact: TailFactorization, factor_kw: dict) -> TailFactorization:
-    """fact checked against (spec, b), or a fresh build when fact is None."""
+                   fact: TailFactorization) -> TailFactorization:
+    """fact checked against (spec, b), or a fresh default build when fact is None."""
     if fact is None:
-        return build_factorization(warp, spec, b, **factor_kw)
+        return build_factorization(warp, spec, b)
     if fact.spec is not spec or fact.b != b:
         raise ValueError("factorization was built for a different spec or "
                          "weight exponent")
@@ -240,26 +229,25 @@ def _factorization(warp, spec: DomainSpec, b: float,
 
 
 def build_W_f(warp, spec: DomainSpec, b: float = None, *,
-              factorization: TailFactorization = None,
-              **factor_kw) -> OperatorMatrix:
+              factorization: TailFactorization = None) -> OperatorMatrix:
     """Frequency-domain interpolator with the aliasing fold subtracted.
 
     Matches the band rows of the continuous operator to the kernel
     truncation accuracy; reduces to the plain sampled operator for maps
-    with no derivative jumps.  A prebuilt factorization for the same
-    spec and weight exponent can be passed to skip the kernel build.
+    with no derivative jumps.  R and kernel_tol are chosen by passing a
+    build_factorization for the same spec and weight exponent; without
+    one, the defaults are built.
     """
     base = swf.swf_freq(warp, spec, b=b)
     b = base.b
-    fact = _factorization(warp, spec, b, factorization, factor_kw)
+    fact = _factorization(warp, spec, b, factorization)
     return OperatorMatrix(kind="saf_freq", b=b, spec=spec,
                           entries=base.entries - fact.band_fold,
                           correction=fact)
 
 
 def build_W_t(warp, spec: DomainSpec, b: float = None, *,
-              factorization: TailFactorization = None,
-              **factor_kw) -> OperatorMatrix:
+              factorization: TailFactorization = None) -> OperatorMatrix:
     """Time-domain interpolator with the aliasing fold subtracted.
 
     Time-warping geometry only.  The time-domain twin of build_W_f:
@@ -270,7 +258,7 @@ def build_W_t(warp, spec: DomainSpec, b: float = None, *,
     """
     base = swf.swf_time(warp, spec, b=b)
     b = base.b
-    fact = _factorization(warp, spec, b, factorization, factor_kw)
+    fact = _factorization(warp, spec, b, factorization)
     entries = base.entries - _to_time(fact.band_fold, spec.output_set, spec.input_set)
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
                           entries=entries.real.astype(np.complex128),

@@ -114,17 +114,10 @@ def _resolve_b(spec, b):
 
 def _require_swf_feasible(spec):
     rep = spec.feasibility
-    if rep.swf_feasible:
-        return
-    # exact band-edge coverage (identity-like maps at M = N) is constructible:
-    # the report's strict ratios flag it, but nothing folds into the band
-    edge = rep.max_dw * (1.0 - 1e-12)
-    if (rep.redundancy >= edge and rep.ratio_negative >= edge
-            and rep.ratio_positive >= edge):
-        return
-    raise ValueError(
-        "spec infeasible for sampled-warp operators: " + "; ".join(rep.failures)
-    )
+    if not rep.swf_feasible:
+        raise ValueError(
+            "spec infeasible for sampled-warp operators: " + "; ".join(rep.failures)
+        )
 
 
 def _require_tw(spec):
@@ -138,6 +131,7 @@ def _grid(count):
 
 def _sampled(warp, spec, b):
     """(b, w(t_q), (Dw(t_q))^b) on the M-point grid, after the spec checks."""
+    spec.require_map(warp)
     b = _resolve_b(spec, b)
     _require_swf_feasible(spec)
     tau = _grid(spec.M)
@@ -146,9 +140,12 @@ def _sampled(warp, spec, b):
 
 def _sampled_inverse(warp, spec, b, inverse):
     """(b, v(p/N), (Dv(p/N))^b) for the inverse map v, time warping only."""
+    spec.require_map(warp)
     _require_tw(spec)
     b = _resolve_b(spec, b)
     _require_swf_feasible(spec)
+    if inverse is not None and inverse.source is not warp:
+        raise ValueError("inverse is not the inverse of this map")
     v = warp.inverse() if inverse is None else inverse
     y = _grid(spec.N)
     return b, v.eval(y), v.sampled_weight(y, b)

@@ -41,6 +41,7 @@ import math
 import numpy as np
 
 from ._ratpoly import bernoulli_polynomial
+from .domain_indexing import singularity_decay_ratio
 
 MAX_LEVEL_DEFAULT = 12
 KERNEL_TOL_DEFAULT = 1e-12
@@ -317,8 +318,8 @@ class SingularityKernel:
 class KernelBundle:
     b: float
     rows: int  # R: number of jump orders kept
-    row_radius: float  # (M/2)(1 - mu_M): effective output half-bandwidth
-    col_radius: float  # (N/2)(1 + mu_N): input scaling of the phase powers
+    row_radius: float  # DomainSpec.row_radius
+    col_radius: float  # DomainSpec.col_radius
     kernels: list
 
     @property
@@ -354,19 +355,15 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     correction series would diverge there, and the sampling geometry has
     to change (more output samples, or less skewed index sets).
     """
+    spec.require_map(warp)
     b = spec.b if b is None else float(b)
-    M = spec.M
-    N = spec.N
-    row_radius = 0.5 * M * (1.0 - spec.output_set.mu)
-    col_radius = 0.5 * N * (1.0 + spec.input_set.mu)
-    if row_radius <= 0:
+    if spec.row_radius <= 0:
         raise ValueError("output index set fully skewed; row scale vanished")
 
     ratios = []
     for xi in warp.singularities:
-        dminus, dplus = warp._jump_slopes[xi]
-        Jp = row_radius / (col_radius * dplus)
-        Jm = row_radius / (col_radius * dminus)
+        Jp = singularity_decay_ratio(warp, spec, xi, "right")
+        Jm = singularity_decay_ratio(warp, spec, xi, "left")
         ratios.append((Jp, Jm))
         if min(Jp, Jm) <= 1.0:
             raise ValueError(
@@ -388,10 +385,12 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     jp = np.array([[Jp ** (-k) for k in range(R)] for Jp, _ in ratios]).reshape(-1, R)
     jm = np.array([[Jm ** (-k) for k in range(R)] for _, Jm in ratios]).reshape(-1, R)
     rows = np.arange(R, dtype=np.float64)
-    scale = -1j * math.pi * M * (1.0 - spec.output_set.mu)  # -2j pi row_radius
+    scale = -2j * math.pi * spec.row_radius
     # S[j, i, k] pairs level i - k; levels past R - 1 pair with no (row,
-    # column), and levels past MAX_LEVEL_DEFAULT are dropped, suppressed by
-    # scale^(k-i-1) far below tol
+    # column), and levels past MAX_LEVEL_DEFAULT are dropped.  That drop is
+    # a known accuracy limit, not a remainder below tol: on the cubic seam
+    # at R = 80 the level cap 12 leaves 1.5e-6 where 16 reaches 5.3e-9,
+    # likely because gamma_l(k) grows like k^(2l) (ROADMAP item 1)
     S = np.zeros((len(ratios), R, R), dtype=np.complex128)
     for level, table in enumerate(gamma_tables(MAX_LEVEL_DEFAULT)[:R]):
         beta = _beta_table(jets, table, b)
@@ -417,8 +416,8 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     return KernelBundle(
         b=b,
         rows=R,
-        row_radius=row_radius,
-        col_radius=col_radius,
+        row_radius=spec.row_radius,
+        col_radius=spec.col_radius,
         kernels=kernels,
     )
 

@@ -98,6 +98,24 @@ def test_feasibility_swf_ok_saf_refused():
     assert any("J <= 1" in f and "x=0" in f for f in rep.failures)
 
 
+def test_exact_band_edge_coverage_is_sampling_feasible():
+    # identity at M = N covers the band exactly: the report accepts what
+    # the sampled operators accept, and lists no failure
+    rep = di.domain_spec(wm.identity_map(), 9, 9).feasibility
+    assert rep.redundancy_ok and rep.signed_ok
+    assert rep.swf_feasible and rep.saf_feasible
+    assert rep.failures == []
+
+
+def test_radii_on_the_spec():
+    sp = di.domain_spec(wm.exponential_map(), 32, 67, L_N=10, L_M=40)
+    assert sp.row_radius == 0.5 * 67 * (1.0 - sp.output_set.mu)
+    assert sp.col_radius == 0.5 * 32 * (1.0 + sp.input_set.mu)
+    # the narrow output side and the wide input side, up to rounding
+    assert sp.row_radius == pytest.approx(min(sp.output_set.z_left, sp.output_set.z_right))
+    assert sp.col_radius == pytest.approx(max(sp.input_set.z_left, sp.input_set.z_right))
+
+
 def test_decay_ratio_uses_worse_side():
     w = wm.exponential_map()
     sp = di.domain_spec(w, 33, 67)

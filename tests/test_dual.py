@@ -196,13 +196,32 @@ def test_conjugate_factorization_reuses_the_folds():
     w, spec = _pl_freq()
     dfact = build_dual_factorization(w, spec, b=0.3)
     fact, dual = dfact.fact, dfact.fact_dual
-    assert dual.basis is fact.basis
+    assert dual.V is fact.V
     assert [pc.lattice_aligned for pc in dual.pieces] == [True, False, False]
     for pc, pd in zip(fact.pieces, dual.pieces):
         assert pd.U is pc.U
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
     assert np.array_equal(stacked_blocks(fresh), dfact.H_dual)
+
+
+def test_dual_keeps_the_factorization_kernel_tol():
+    w, spec = _exp_freq()
+    fact = build_factorization(w, spec, kernel_tol=1e-6)
+    dfact = build_dual_factorization(w, spec, fact=fact)
+    assert dfact.fact_dual.kernel_tol == 1e-6
+    assert dfact.fact_dual.rows == fact.rows
+
+
+def test_stacked_blocks_are_the_pieces_blocks():
+    w, spec = _pl_freq()
+    fact = build_factorization(w, spec, 0.3)
+    H = stacked_blocks(fact)
+    R = fact.rows
+    assert H.shape == (len(fact.pieces) * R, spec.N)
+    for i, pc in enumerate(fact.pieces):
+        assert np.array_equal(pc.block, pc.S @ fact.V * pc.q)
+        assert np.array_equal(H[i * R:(i + 1) * R], pc.block)
 
 
 def test_dual_build_computes_the_radius_once(monkeypatch):

@@ -34,7 +34,7 @@ from pswarp.warp_map import (
     piecewise_linear_map,
     spline_map,
 )
-from pswarp.domain_indexing import domain_spec
+from pswarp.domain_indexing import domain_spec, singularity_decay_ratio
 from pswarp.dense_oracle import entry as oracle_entry, phi_derivative
 
 
@@ -409,6 +409,31 @@ def test_kernel_refuses_divergent_geometry():
     spec = domain_spec(w, 33, 67, L_N=4, L_M=10, b=0.5)
     with pytest.raises(ValueError, match=r"x=0"):
         build_kernel(w, spec)
+
+
+@pytest.mark.parametrize("name", ["exponential", "cubic_seam", "spline", "piecewise_linear"])
+@pytest.mark.parametrize("N,M,L_N,L_M", [(33, 67, None, None), (32, 66, None, None),
+                                         (33, 129, 12, 70), (16, 66, 9, 30)])
+def test_kernel_ratios_are_the_feasibility_ratios(name, N, M, L_N, L_M):
+    # one formula for J: the kernel's one-sided ratios are
+    # singularity_decay_ratio's, and the report's J is the smaller one
+    w = BUILTIN_MAPS[name]()
+    spec = domain_spec(w, N, M, L_N=L_N, L_M=L_M)
+    bun = build_kernel(w, spec, R=4)
+    assert (bun.row_radius, bun.col_radius) == (spec.row_radius, spec.col_radius)
+    for ker in bun.kernels:
+        assert ker.J_plus == singularity_decay_ratio(w, spec, ker.xi, "right")
+        assert ker.J_minus == singularity_decay_ratio(w, spec, ker.xi, "left")
+        assert min(ker.J_plus, ker.J_minus) == spec.feasibility.J[ker.xi]
+    assert bun.J_min == spec.feasibility.J_min
+
+
+def test_kernel_refuses_another_map():
+    # the spec's feasibility vouches for its own map only; an equal map
+    # built separately is another map
+    spec = domain_spec(exponential_map(), 33, 67)
+    with pytest.raises(ValueError, match="spec's map"):
+        build_kernel(exponential_map(), spec)
 
 
 def test_identity_map_has_no_kernels():

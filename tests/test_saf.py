@@ -13,7 +13,6 @@ from pswarp import swf_operators as swf
 from pswarp._lattice import lattice_tail_values
 from pswarp.domain_indexing import TIME_WARPING, domain_spec
 from pswarp.saf_operators import (
-    BasisSet,
     TailFactorization,
     build_bases,
     build_factorization,
@@ -108,12 +107,12 @@ def test_pole_remainder_domain_errors():
 def test_basis_rows_and_normalization():
     w = exponential_map()
     spec = domain_spec(w, 33, 67, b=0.5)
-    B = build_bases(spec, 12)
+    V = build_bases(spec, 12)
     U = _row_fold(spec, 12, 0.0).real
-    assert isinstance(B, BasisSet)
-    assert B.V.shape == (12, 33) and U.shape == (67, 12)
+    assert isinstance(V, np.ndarray)
+    assert V.shape == (12, 33) and U.shape == (67, 12)
     # zeroth column moment is flat
-    assert np.all(B.V[0] == 1.0)
+    assert np.all(V[0] == 1.0)
     # row fold, order 0: half the periodized pole remainder at m/M
     m = 5
     r = list(spec.output_set.indices).index(m)
@@ -133,8 +132,8 @@ def test_basis_peaks_at_input_edge():
     # on the scaling edge, so every moment row attains magnitude 1 there
     w = exponential_map()
     spec = domain_spec(w, 16, 67, b=0.5)
-    B = build_bases(spec, 9)
-    assert np.all(np.abs(B.V).max(axis=1) == 1.0)
+    V = build_bases(spec, 9)
+    assert np.all(np.abs(V).max(axis=1) == 1.0)
 
 
 def test_basis_refusals():
@@ -181,7 +180,7 @@ def test_factored_tail_rows_far_from_band():
         row = np.zeros(ns.size, dtype=complex)
         for pc in fact.pieces:
             row += (np.exp(2j * np.pi * m * pc.xi)
-                    * (y @ pc.S @ fact.basis.V)
+                    * (y @ pc.S @ fact.V)
                     * np.exp(-2j * np.pi * ns * pc.image))
         assert np.max(np.abs(row - ref[r])) < 1e-10, m
 
@@ -208,7 +207,7 @@ def _explicit_band_folds(fact, Ks):
     ms = np.asarray(spec.output_set.indices, dtype=float)
     rr = fact.row_radius
     ks = np.arange(1, max(Ks) + 1)
-    outs = {K: np.zeros((ms.size, fact.basis.V.shape[1]), dtype=complex)
+    outs = {K: np.zeros((ms.size, fact.V.shape[1]), dtype=complex)
             for K in Ks}
     for pc in fact.pieces:
         shell = np.exp(-2j * np.pi * M * pc.xi) ** ks
@@ -226,7 +225,7 @@ def _explicit_band_folds(fact, Ks):
                 partial[K][:, i] = run[:, K - 1]
         for K in Ks:
             outs[K] += (pc.p_band[:, None]
-                        * (partial[K] @ pc.S @ fact.basis.V)
+                        * (partial[K] @ pc.S @ fact.V)
                         * pc.q[None, :])
     return [outs[K] for K in Ks]
 
@@ -288,7 +287,8 @@ def test_corrected_freq_low_order_floor():
     # measured 6.1e-7 on this geometry
     w = exponential_map()
     spec = domain_spec(w, 33, 67, b=0.5)
-    Wf = build_W_f(w, spec, R=24, kernel_tol=1e-10)
+    fact = build_factorization(w, spec, R=24, kernel_tol=1e-10)
+    Wf = build_W_f(w, spec, factorization=fact)
     ref = dox.matrix(w, spec.output_set.indices, spec.input_set.indices, 0.5)
     err = np.max(np.abs(Wf.entries - ref))
     assert err < 3e-6

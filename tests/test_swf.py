@@ -172,6 +172,28 @@ def test_swf_refuses_infeasible_spec():
         swf.swf_freq(w, spec)
 
 
+def test_operators_refuse_another_map():
+    # the spec was checked for the identity; the exponential map would
+    # need M/N > 2 ln 2 and is refused rather than sampled
+    spec = di.domain_spec(wm.identity_map(), 9, 9, mode=di.TIME_WARPING)
+    with pytest.raises(ValueError, match="spec's map"):
+        swf.swf_freq(wm.exponential_map(), spec)
+    with pytest.raises(ValueError, match="spec's map"):
+        swf.apply_swf_time_invmap(wm.exponential_map(), spec, np.ones(9))
+
+
+def test_invmap_refuses_another_inverse():
+    w = wm.atan_tan_map(2.0)
+    spec = di.domain_spec(w, 33, 67, mode=di.TIME_WARPING)
+    x = np.random.default_rng(0).standard_normal(33)
+    with pytest.raises(ValueError, match="inverse"):
+        swf.apply_swf_time_invmap(w, spec, x, inverse=wm.atan_tan_map(1.5).inverse())
+    with pytest.raises(ValueError, match="inverse"):
+        swf.swf_time_invmap(w, spec, inverse=wm.atan_tan_map(2.0).inverse())
+    own = swf.apply_swf_time_invmap(w, spec, x, inverse=w.inverse())
+    assert np.array_equal(own, swf.apply_swf_time_invmap(w, spec, x))
+
+
 def test_operator_matrix_metadata():
     w = wm.exponential_map()
     spec = di.domain_spec(w, 9, 19, b=0.5)
