@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "IndexSet",
+    "dirichlet_kernel",
     "DomainSpec",
     "FeasibilityReport",
     "make_index_set",
@@ -75,6 +77,24 @@ class IndexSet:
         return (-self.L <= k) & (k <= self.N - self.L - 1)
 
 
+def dirichlet_kernel(x, index_set):
+    """Sum of e^{2 pi j n x} over a contiguous index set.
+
+    Closed form as a ratio of sines with a linear phase; the argument is
+    reduced mod 1 first so the sinc ratio never meets its removable
+    singularities. Real-valued whenever the set is symmetric.
+    """
+    x = np.asarray(x, dtype=float)
+    lo = -index_set.L
+    hi = index_set.N - index_set.L - 1
+    size = index_set.N
+    xr = x - np.round(x)
+    mag = size * np.sinc(size * xr) / np.sinc(xr)
+    if lo + hi == 0:
+        return mag.astype(complex)
+    return np.exp(1j * np.pi * (lo + hi) * xr) * mag
+
+
 def make_index_set(N, L) -> IndexSet:
     return IndexSet(int(N), int(L))
 
@@ -84,8 +104,22 @@ def symmetric_index_set(N) -> IndexSet:
     return IndexSet(int(N), int(N) // 2)
 
 
-@dataclass
+def _resolve_b(spec, b):
+    """The weight exponent of a call: spec.b when b is None, refused outside [0, 1]."""
+    b = spec.b if b is None else float(b)
+    if not 0.0 <= b <= 1.0:
+        raise ValueError("exponent b must lie in [0, 1]")
+    return b
+
+
+@dataclass(frozen=True)
 class DomainSpec:
+    """A map bound to its index sets, mode and default b; frozen, sampled once.
+
+    ``samples`` (the map on t_q = q/M, read by every sampled operator) and
+    ``dirichlet`` (the b-free D the dense ones read) form once, on first use.
+    """
+
     warp: object
     input_set: IndexSet
     output_set: IndexSet
@@ -96,21 +130,12 @@ class DomainSpec:
     def __post_init__(self):
         if self.mode not in (TIME_WARPING, FREQUENCY_WARPING):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == TIME_WARPING:
-            ok = (
-                self.N % 2 == 1
-                and self.M % 2 == 1
-                and self.input_set.L == (self.N - 1) // 2
-                and self.output_set.L == (self.M - 1) // 2
-            )
-            if not ok:
-                raise ValueError(
-                    "time-warping mode needs odd N, M with symmetric index sets"
-                )
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("exponent b must lie in [0, 1]")
+        if self.mode == TIME_WARPING and not (self.input_set.symmetric
+                                              and self.output_set.symmetric):
+            raise ValueError("time-warping mode needs odd N, M with symmetric index sets")
+        _resolve_b(self, self.b)
         if self.feasibility is None:
-            self.feasibility = check_feasibility(self)
+            object.__setattr__(self, "feasibility", check_feasibility(self))
 
     @property
     def N(self):
@@ -129,6 +154,17 @@ class DomainSpec:
     def col_radius(self):
         # input scale of the column moments n^k
         return 0.5 * self.N * (1.0 + self.input_set.mu)
+
+    @cached_property
+    def samples(self):
+        """w(t_q), Dw(t_q) and the slope-jump hits (warp_map.Samples)."""
+        return self.warp.sample(np.arange(self.M) / self.M)
+
+    @cached_property
+    def dirichlet(self):
+        """D(w(t_q) - p/N) of the input set, (M, N)."""
+        p = np.arange(self.N) / self.N
+        return dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.input_set)
 
     def require_map(self, warp):
         # feasibility vouches for self.warp only; `is`, as WarpMap == compares arrays

@@ -20,15 +20,9 @@ import numpy as np
 
 from . import _lattice as lat
 from . import saf_operators as saf
-from .domain_indexing import DomainSpec
+from .domain_indexing import DomainSpec, _resolve_b
 from .saf_operators import TailFactorization
-from .swf_operators import (
-    OperatorMatrix,
-    _require_swf_feasible,
-    _require_tw,
-    _resolve_b,
-    _to_time,
-)
+from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _to_time
 
 __all__ = [
     "DualFactorization",
@@ -208,7 +202,6 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     floor; it is the conjugate-weight operator times the resummed
     correction factor.  For maps with no jumps D is W_f itself.
     """
-    b = _resolve_b(spec, b)
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)
     base = saf.build_W_f(warp, spec, b=dfact.b_dual,
@@ -229,7 +222,6 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     conjugation (_to_time on the input set).  Exactly real, like the
     forward interpolator.
     """
-    b = _resolve_b(spec, b)
     _require_tw(spec)
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)

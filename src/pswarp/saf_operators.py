@@ -25,7 +25,7 @@ from . import swf_operators as swf
 from . import symbolic_kernel as sk
 from ._lattice import lattice_tail_values
 from .domain_indexing import DomainSpec
-from .swf_operators import OperatorMatrix, _resolve_b, _to_time
+from .swf_operators import OperatorMatrix, _to_time
 from .warp_map import _coincides
 
 
@@ -126,10 +126,8 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     kernel_tol, which happens when the decay ratio at some jump is close
     to 1 (roughly J below 1.4 for maps with rich high-order jets).
     """
-    b = _resolve_b(spec, b)
     bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol)
-    V = build_bases(spec, bundle.rows)
-    return _assemble(spec, b, bundle, V, {}, kernel_tol)
+    return _assemble(spec, bundle.b, bundle, build_bases(spec, bundle.rows), {}, kernel_tol)
 
 
 def _reweighted_factorization(warp, fact: TailFactorization, b: float) -> TailFactorization:

@@ -26,9 +26,11 @@ the two domains, A -> F_M^dagger conj(A) F_N and its inverse, done by
 the FFT pair the appliers use; the corrected operators and their duals
 cross over through them too.
 
-Grid points that land exactly on a derivative jump take the mean of the
-one-sided weights (WarpMap.sampled_weight); under this convention the
-periodic fold of the dense transform closes to machine precision.
+The spec samples its map once and every operator reads ``spec.samples``:
+its weight, ``samples.weight(b)``, takes the mean of the one-sided values
+at grid points on a derivative jump, under which the periodic fold of the
+dense transform closes to machine precision.  D is b-free and formed once
+per spec (``spec.dirichlet``); the inverse-map operators sample v per call.
 
 The ``apply_*`` functions are the matrix-free twins of the dense forms:
 the nonuniform stage goes through the spreading FFT in ``_nufft``, the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _nufft
-from .domain_indexing import TIME_WARPING, DomainSpec
+from .domain_indexing import TIME_WARPING, DomainSpec, _resolve_b, dirichlet_kernel
 
 __all__ = [
     "OperatorMatrix",
@@ -88,30 +90,6 @@ class OperatorMatrix:
         return float(np.linalg.norm(g - np.eye(g.shape[0]), 2))
 
 
-def dirichlet_kernel(x, index_set):
-    """Sum of e^{2 pi j n x} over a contiguous index set.
-
-    Closed form as a ratio of sines with a linear phase; the argument is
-    reduced mod 1 first so the sinc ratio never meets its removable
-    singularities. Real-valued whenever the set is symmetric.
-    """
-    x = np.asarray(x, dtype=float)
-    lo = -index_set.L
-    hi = index_set.N - index_set.L - 1
-    size = index_set.N
-    xr = x - np.round(x)
-    mag = size * np.sinc(size * xr) / np.sinc(xr)
-    if lo + hi == 0:
-        return mag.astype(complex)
-    return np.exp(1j * np.pi * (lo + hi) * xr) * mag
-
-
-def _resolve_b(spec, b):
-    b = spec.b if b is None else float(b)
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("exponent b must lie in [0, 1]")
-    return b
-
 def _require_swf_feasible(spec):
     rep = spec.feasibility
     if not rep.swf_feasible:
@@ -125,17 +103,12 @@ def _require_tw(spec):
         raise ValueError("time-domain interpolators need a time-warping spec")
 
 
-def _grid(count):
-    return np.arange(count) / count
-
-
 def _sampled(warp, spec, b):
-    """(b, w(t_q), (Dw(t_q))^b) on the M-point grid, after the spec checks."""
+    """(b, w(t_q), (Dw(t_q))^b) from the spec's samples, after the spec checks."""
     spec.require_map(warp)
     b = _resolve_b(spec, b)
     _require_swf_feasible(spec)
-    tau = _grid(spec.M)
-    return b, warp.eval(tau), warp.sampled_weight(tau, b)
+    return b, spec.samples.values, spec.samples.weight(b)
 
 
 def _sampled_inverse(warp, spec, b, inverse):
@@ -147,16 +120,20 @@ def _sampled_inverse(warp, spec, b, inverse):
     if inverse is not None and inverse.source is not warp:
         raise ValueError("inverse is not the inverse of this map")
     v = warp.inverse() if inverse is None else inverse
-    y = _grid(spec.N)
-    return b, v.eval(y), v.sampled_weight(y, b)
+    s = v.sample(np.arange(spec.N) / spec.N)
+    return b, s.values, s.weight(b)
 
 
 def _interpolator(warp, spec, b):
     """(b, X), X the sampled interpolator of the module docstring, complex."""
-    b, wv, wt = _sampled(warp, spec, b)
-    args = wv[:, None] - _grid(spec.N)[None, :]
-    entries = wt[:, None] * dirichlet_kernel(args, spec.input_set)
-    return b, entries / np.sqrt(spec.M * spec.N)
+    b, _, wt = _sampled(warp, spec, b)
+    return b, wt[:, None] * spec.dirichlet / np.sqrt(spec.M * spec.N)
+
+
+def _require_vector(x, n):
+    """Refuse x unless it is one vector of the operator's n columns."""
+    if np.shape(x) != (n,):
+        raise ValueError(f"input of shape {np.shape(x)}; the operator takes ({n},)")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +224,7 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
     sampling (aliasing) error of either factor.
     """
     b, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
-    args = vv[None, :] - _grid(spec.M)[:, None]
+    args = vv[None, :] - (np.arange(spec.M) / spec.M)[:, None]
     entries = vwt[None, :] * dirichlet_kernel(args, spec.output_set)
     entries /= np.sqrt(spec.M * spec.N)
     return OperatorMatrix("swf_time_invmap", b, spec, entries.real.astype(complex))
@@ -260,12 +237,14 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
 
 def apply_warped_dft(warp, spec, x, b=None):
     _, wv, wt = _sampled(warp, spec, b)
+    _require_vector(x, spec.M)
     vals = wt * np.asarray(x, dtype=complex) / np.sqrt(spec.M)
     return _nufft.nufft_project(wv, vals, spec.output_set)
 
 
 def apply_swf_freq(warp, spec, x, b=None):
     _, wv, wt = _sampled(warp, spec, b)
+    _require_vector(x, spec.N)
     # inner: evaluate the input-band series at the warped grid points
     g = _nufft.nufft_eval(-wv, np.asarray(x, dtype=complex), spec.input_set)
     out = _uniform_analysis(np.conj(wt * g), spec.output_set)
@@ -275,6 +254,7 @@ def apply_swf_freq(warp, spec, x, b=None):
 def apply_swf_time(warp, spec, x, b=None):
     _require_tw(spec)
     _, wv, wt = _sampled(warp, spec, b)
+    _require_vector(x, spec.N)
     xhat = _uniform_analysis(x, spec.input_set)
     out = wt * _nufft.nufft_eval(wv, xhat, spec.input_set) / np.sqrt(spec.M * spec.N)
     return out.real if np.isrealobj(x) else out
@@ -282,6 +262,7 @@ def apply_swf_time(warp, spec, x, b=None):
 
 def apply_swf_time_invmap(warp, spec, x, b=None, inverse=None):
     _, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
+    _require_vector(x, spec.N)
     inner = _nufft.nufft_project(-vv, vwt * np.asarray(x, dtype=complex),
                                  spec.output_set)
     out = _uniform_synthesis(inner.conj(), spec.output_set).conj()

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from ._ratpoly import bernoulli_polynomial
-from .domain_indexing import singularity_decay_ratio
+from .domain_indexing import _resolve_b, singularity_decay_ratio
 
 MAX_LEVEL_DEFAULT = 12
 KERNEL_TOL_DEFAULT = 1e-12
@@ -356,7 +356,7 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     to change (more output samples, or less skewed index sets).
     """
     spec.require_map(warp)
-    b = spec.b if b is None else float(b)
+    b = _resolve_b(spec, b)
     if spec.row_radius <= 0:
         raise ValueError("output index set fully skewed; row scale vanished")
 

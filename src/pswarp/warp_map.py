@@ -24,6 +24,7 @@ from ._jets import jet_atan, jet_div, jet_exp, jet_to_derivatives
 __all__ = [
     "WarpMap",
     "InverseMap",
+    "Samples",
     "ValidationReport",
     "identity_map",
     "exponential_map",
@@ -230,41 +231,14 @@ class WarpMap:
         vals[0] += shift
         return vals
 
-    def derivative(self, x, order=1, side="two_sided"):
-        """D^order w(x); `side` selects the jet at breakpoints.
-
-        side="two_sided" demands both one-sided values agree (within the
-        jet-matching tolerance) and raises at genuine singularities.
-        """
-        xi = float(x)
-        f = xi - math.floor(xi)
-        near = np.isclose(f, self.breakpoints, atol=1e-12).any() or np.isclose(f, 1.0, atol=1e-12)
-        if side in ("left", "right"):
-            return float(self.side_jets(xi, order, side)[order])
-        if side != "two_sided":
-            raise ValueError("side must be 'left', 'right', or 'two_sided'")
-        if not near:
-            return float(self.side_jets(xi, order, "right")[order])
-        lv = self.side_jets(xi, order, "left")[order]
-        rv = self.side_jets(xi, order, "right")[order]
-        if abs(lv - rv) > JET_MATCH_TOL * max(1.0, abs(lv), abs(rv)):
-            raise ValueError(
-                f"derivative of order {order} jumps at x={xi}; pass side='left' or 'right'"
-            )
-        return float(rv)
+    def sample(self, x):
+        """w, Dw and the slope-jump hits on the points x, a Samples record."""
+        jumps = [(xi, *self._jump_slopes[xi]) for xi in self.singularities]
+        return Samples(x, self.eval(x), self.deriv1(x), _jump_hits(x, jumps))
 
     def sampled_weight(self, x, b):
-        """(Dw)^b on a sample grid, with the one-sided mean at jumps.
-
-        A sample that lands on a first-derivative jump takes the average of
-        the two one-sided values of (Dw)^b.  That is the value the Fourier
-        series of (Dw)^b converges to at the jump, and the discrete
-        frequency-warping operator folds onto the analytic aliasing tails
-        exactly only under this convention; plain one-sided sampling leaves
-        a rank-one defect of half the jump divided by the grid size.
-        """
-        jumps = [(xi, *self._jump_slopes[xi]) for xi in self.singularities]
-        return _sampled_weight(x, b, self.deriv1, jumps)
+        """(Dw)^b on x, sample(x).weight(b); operators read DomainSpec.samples."""
+        return _sampled_weight(self, x, b)
 
     # -- misc ----------------------------------------------------------------
 
@@ -278,9 +252,9 @@ class WarpMap:
 class InverseMap:
     """Inverse v = w^{-1}, evaluated by bracketed Newton iteration.
 
-    Exposes enough of the WarpMap surface (eval / deriv1 / singularities /
-    derivative range) for the oracle and the inverse-map interpolation
-    operator; higher-order jets of v are never required.
+    Exposes enough of the WarpMap surface (eval / deriv1 / sample /
+    singularities / derivative range) for the oracle and the inverse-map
+    operators; higher-order jets of v are never required.
     """
 
     def __init__(self, source: WarpMap):
@@ -290,10 +264,10 @@ class InverseMap:
         xs = np.unique(np.concatenate([xs, source.breakpoints]))
         self._gx = xs
         self._gw = np.append(source.eval(xs[:-1]), 1.0)
-        self._sing_pairs = sorted(
-            (float(source.eval(xi) % 1.0), float(xi)) for xi in source.singularities
-        )
-        self.singularities = [eta for eta, _ in self._sing_pairs]
+        # (image, left, right slope of v) per singularity, by image
+        self._slope_jumps = sorted((float(source.eval(xi) % 1.0), 1.0 / lp, 1.0 / rp)
+                                   for xi, (lp, rp) in source._jump_slopes.items())
+        self.singularities = [eta for eta, _, _ in self._slope_jumps]
         self.min_dw = 1.0 / source.max_dw
         self.max_dw = 1.0 / source.min_dw
 
@@ -330,15 +304,16 @@ class InverseMap:
 
     def deriv1(self, y):
         """Dv(y) = 1 / Dw(v(y))."""
-        v = self.eval(np.asarray(y, dtype=float))
-        return 1.0 / self.source.deriv1(v)
+        return 1.0 / self.source.deriv1(self.eval(np.asarray(y, dtype=float)))
+
+    def sample(self, y):
+        """v, Dv and the slope-jump hits on the points y, from one Newton solve."""
+        v = self.eval(y)
+        return Samples(y, v, 1.0 / self.source.deriv1(v), _jump_hits(y, self._slope_jumps))
 
     def sampled_weight(self, y, b):
-        """(Dv)^b on a sample grid, one-sided mean at jumps (cf. WarpMap)."""
-        slopes = self.source._jump_slopes
-        jumps = [(eta, 1.0 / slopes[xi][0], 1.0 / slopes[xi][1])
-                 for eta, xi in self._sing_pairs]
-        return _sampled_weight(y, b, self.deriv1, jumps)
+        """(Dv)^b on y, sample(y).weight(b); the inverse-map operators sample per call."""
+        return _sampled_weight(self, y, b)
 
 
 def _coincides(x, pos):
@@ -350,24 +325,41 @@ def _coincides(x, pos):
     return np.abs((x - pos + 0.5) % 1.0 - 0.5) <= 1e-12
 
 
-def _sampled_weight(x, b, deriv1, jumps):
-    """deriv1(x)^b on sample points, the one-sided mean of slope^b at jumps.
+def _jump_hits(x, jumps):
+    """(mask, left, right) per (position, left, right) slope jump that x hits."""
+    hits = [(_coincides(x, pos), lp, rp) for pos, lp, rp in jumps
+            if abs(lp - rp) > JET_MATCH_TOL * max(1.0, abs(lp), abs(rp))]
+    return tuple(h for h in hits if h[0].any())
 
-    jumps lists (position, left slope, right slope).  A point that
-    _coincides with a position whose slopes differ beyond JET_MATCH_TOL
-    takes 0.5 (left^b + right^b).
+
+@dataclass(frozen=True)
+class Samples:
+    """A map on sample points: values, slopes and slope-jump hits, all b-free.
+
+    A DomainSpec holds the one every operator reads.  weight(b) holds the
+    one-sided mean rule: a point on a slope jump takes the mean of the
+    one-sided (Dw)^b, where its Fourier series converges; only then does the
+    discrete operator fold onto the analytic aliasing tails exactly.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float)
-    out = deriv1(xv) ** b
-    for pos, lp, rp in jumps:
-        if abs(lp - rp) <= JET_MATCH_TOL * max(1.0, abs(lp), abs(rp)):
-            continue
-        hit = _coincides(xv, pos)
-        if hit.any():
+
+    points: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    hits: tuple  # _jump_hits(points, ...)
+
+    def weight(self, b):
+        """slopes^b, with 0.5 (left^b + right^b) at the hits; a new array."""
+        out = self.slopes ** b
+        for hit, lp, rp in self.hits:
             out[hit] = 0.5 * (lp**b + rp**b)
-    return float(out[0]) if scalar else out
+        return out
+
+
+def _sampled_weight(m, x, b):
+    """m.sample(x).weight(b), a float for scalar x."""
+    x = np.asarray(x, dtype=float)
+    out = m.sample(np.atleast_1d(x)).weight(b)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 # -- validation ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pswarp import domain_indexing as di
 from pswarp import swf_operators as swf
 from pswarp.domain_indexing import TIME_WARPING, domain_spec
 from pswarp.dual_operators import (
@@ -437,3 +438,44 @@ def test_dual_refuses_infeasible_spec():
     spec = domain_spec(w, 33, 35, b=0.5)
     with pytest.raises(ValueError, match="infeasible"):
         dual_W_f(w, spec)
+
+
+def _counting(monkeypatch, owner, name, record):
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        record(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_one_spec_samples_its_map_once(monkeypatch):
+    # the dual, the corrected operator, the dense view and five appliers all
+    # read the spec's one sampling of the map on the M-point grid
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.27, 0.66])
+    spec = domain_spec(w, 33, 67, b=0.5)
+    sizes = {"eval": [], "deriv1": []}
+    for name, seen in sizes.items():
+        _counting(monkeypatch, type(w), name, lambda args, seen=seen: seen.append(np.size(args[1])))
+    x = np.random.default_rng(4).standard_normal((67, 4)) + 0j
+    dual_W_f(w, spec)
+    build_W_f(w, spec)
+    swf.swf_freq(w, spec)
+    for k in range(4):
+        swf.apply_swf_freq(w, spec, x[:33, k])
+    swf.apply_warped_dft(w, spec, x[:, 0])
+    # the scalar calls are the jump images and slopes of the kernel build
+    assert {name: [n for n in seen if n > 1] for name, seen in sizes.items()} == {
+        "eval": [67], "deriv1": [67]}
+
+
+def test_one_time_warping_spec_forms_the_dirichlet_matrix_once(monkeypatch):
+    w = exponential_map()
+    spec = domain_spec(w, 33, 67, b=0.5, mode=TIME_WARPING)
+    shapes = []
+    _counting(monkeypatch, di, "dirichlet_kernel", lambda args: shapes.append(np.shape(args[0])))
+    dual_W_t(w, spec, 0.3)
+    build_W_t(w, spec, 0.3)
+    swf.swf_time(w, spec, 0.3)
+    assert shapes == [(67, 33)]

@@ -327,6 +327,15 @@ def _kernel_by_fractions(warp, spec, bun):
     return out
 
 
+@pytest.mark.parametrize("b", [1.5, -0.2])
+def test_build_kernel_refuses_b_outside_the_unit_interval(b):
+    # the operators' rule: b in [0, 1], or the spec's b when None
+    w = exponential_map()
+    spec = domain_spec(w, 9, 19)
+    with pytest.raises(ValueError, match="exponent b"):
+        build_kernel(w, spec, b)
+
+
 @pytest.mark.parametrize("b", [0.5, 0.3, 0.0, 1.0, 1.0 / 3.0, 0.7123456789])
 def test_kernel_matches_fraction_collapse_bit_for_bit(b):
     # the integer collapse rounds each k coefficient once, like Fraction,

@@ -252,14 +252,6 @@ def test_rejects_non_monotone():
         wm.atan_tan_map(0.0)
 
 
-def test_derivative_two_sided_raises_at_jump():
-    w = MAPS["exponential"]
-    with pytest.raises(ValueError):
-        w.derivative(0.0, order=1, side="two_sided")
-    # away from the seam both sides agree
-    assert w.derivative(0.3, order=1) == pytest.approx(LN2 * 2.0**0.3, rel=1e-13)
-
-
 def test_builtin_registry():
     assert set(wm.BUILTIN_MAPS) >= {
         "identity",

@@ -335,6 +335,36 @@ def test_appliers_match_dense_large():
     assert np.max(np.abs(got_f - dense_f)) < 1e-12 * np.max(np.abs(dense_f))
 
 
+@pytest.mark.parametrize("apply,cols", [(swf.apply_warped_dft, "M"), (swf.apply_swf_freq, "N"),
+                                        (swf.apply_swf_time, "N"),
+                                        (swf.apply_swf_time_invmap, "N")])
+@pytest.mark.parametrize("shape", [lambda n: (n - 1,), lambda n: (n + 1,), lambda n: (n, 1)],
+                         ids=["short", "long", "2-D"])
+def test_appliers_refuse_an_input_of_the_wrong_shape(apply, cols, shape):
+    # a length-40 x on N = 33 used to come back as a 67-vector from
+    # apply_swf_time: the FFT ran at the input's length
+    w = wm.exponential_map()
+    spec = tw_spec(w, 33, 67)
+    x = np.ones(shape(getattr(spec, cols)))
+    with pytest.raises(ValueError, match="shape"):
+        apply(w, spec, x)
+
+
+@pytest.mark.parametrize("w", [wm.exponential_map(),
+                               wm.piecewise_linear_map([0.0, 5 / 19, 12 / 19], [0.0, 0.3, 0.7])],
+                         ids=["exponential", "knot_on_grid"])
+def test_operators_do_not_depend_on_the_order_of_b(w):
+    # the spec's samples are shared by every b; forming the operators at
+    # b = 0.7 first leaves b = 0.3 bit-for-bit what a fresh spec gives
+    spec = tw_spec(w, 9, 19)
+    assert spec.samples.hits  # some grid point sits on a slope jump
+    for op in (swf.swf_freq, swf.swf_time):
+        op(w, spec, b=0.7)
+    for op in (swf.swf_freq, swf.swf_time):
+        fresh = op(w, tw_spec(w, 9, 19), b=0.3).entries
+        assert np.array_equal(op(w, spec, b=0.3).entries, fresh)
+
+
 def test_appliers_keep_real_input_real():
     w = wm.exponential_map()
     spec = tw_spec(w, 33, 67)
