@@ -229,12 +229,22 @@ def singularity_decay_ratio(warp, spec, xi, side=None):
     the jump kernels take their one-sided J_plus and J_minus (sides
     "right" and "left") from here, and the feasibility report its J.  At
     a slope jump side=None takes the larger one-sided Dw, so J is the
-    smaller of the two one-sided ratios exactly.
+    smaller of the two one-sided ratios exactly.  Dw(xi-) and Dw(xi+) are
+    the map's stored slopes at its singularity xi, the side_jets values
+    bit for bit; an xi that is not a singularity of the map is refused.
     """
+    try:
+        left, right = warp._jump_slopes[float(xi)]
+    except KeyError:
+        raise ValueError(f"x={float(xi):g} is not a singularity of the map") from None
     if side is None:
-        dw = max(warp.side_jets(xi, 1, "left")[1], warp.side_jets(xi, 1, "right")[1])
+        dw = max(left, right)
+    elif side == "left":
+        dw = left
+    elif side == "right":
+        dw = right
     else:
-        dw = warp.side_jets(xi, 1, side)[1]
+        raise ValueError("side must be 'left' or 'right'")
     return spec.row_radius / (spec.col_radius * dw)
 
 

@@ -200,7 +200,10 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
 
     The returned D satisfies D' W_f^(b) = I up to the kernel truncation
     floor; it is the conjugate-weight operator times the resummed
-    correction factor.  For maps with no jumps D is W_f itself.
+    correction factor.  A map with no jump gets no correction: D is W_f
+    itself, and nothing bounds its pairing.  Near the redundancy edge a
+    smooth map other than the identity pairs far from I: atan_tan_map()
+    at M = 2N + 1 gives ||D' W_f - I||_2 = 0.12 at N = 33, with no warning.
     """
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)
@@ -220,7 +223,9 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     The conjugate-weight W_t times the frequency dual's correction
     factor taken to sample coordinates by the input-side DFT
     conjugation (_to_time on the input set).  Exactly real, like the
-    forward interpolator.
+    forward interpolator.  A map with no jump gets no correction, so D is
+    the conjugate-weight W_t alone, as in dual_W_f: atan_tan_map() at
+    M = 2N + 1 gives ||D' W_t - I||_2 = 0.12 at N = 33, with no warning.
     """
     _require_tw(spec)
     _require_swf_feasible(spec)

@@ -17,16 +17,30 @@ The gammas satisfy a first-order difference equation in k, solved exactly
 by Bernoulli-polynomial antidifferences, so the whole table is rational.
 gamma_tables holds it in one exact form, built directly in integers: per
 level one common denominator and per sequence an integer coefficient
-array in (b, k).  Numeric callers collapse b exactly per level
-(_collapse_b) and evaluate the k polynomials in floats.
+array in (b, k).
+
+Numeric callers need the k coefficients at a float b, correctly rounded,
+and then evaluate the k polynomials in floats.  The collapse at b is one
+batched pass over every level in use (_collapse_levels): each nonzero
+coefficient num / den is stored once as a double-double hi + lo, and a
+compensated Horner scheme in b (TwoProd by Dekker's split, TwoSum) leaves
+each k coefficient unevaluated as s + c, within a rigorous bound
+E = 2 (2n + 2)^2 u^2 p~(|b|) plus an underflow term, n the b degree and
+p~ the Horner sum of |hi|.  A cell is taken as y = fl(s + c) when the
+residual of that sum plus E stays below half the smaller ulp gap next to
+y, which makes y the correctly rounded value; the rest (about 0.07% of
+the cells at a random b, mostly exact zeros and near-ties) take the exact
+integer sum, as _collapse_b does for a whole level.  So every k
+coefficient is the exact collapse's float, bit for bit.  The k
+polynomials of all those levels then run one Horner in k.
 
 The betas of one level come as one table over a stack of jet rows
 (_beta_table): Dw^(b + shift) once per row and distinct shift, then one
 product per part column, with short sequences padded by an exact 1.0, so
 every entry is the scalar definition's float.  A level whose betas are all
-exactly 0 contributes nothing to any jump, and build_kernel skips its
-gammas: a piecewise-linear map, whose jets past Dw all vanish, builds
-level 0 only.
+exactly 0 contributes nothing to any jump, and build_kernel leaves it out
+of the collapse: a piecewise-linear map, whose jets past Dw all vanish,
+collapses level 0 only.
 
 The one-sided jumps of D^i phi at a singularity feed the low-rank
 aliasing correction; the kernel matrix built here is its middle factor.
@@ -126,6 +140,21 @@ class GammaLevel:
         n, j, i = np.nonzero(by_cell != 0)
         cells, starts = np.unique(n * by_cell.shape[1] + j, return_index=True)
         return cells, starts, i, by_cell[n, j, i]
+
+    @cached_property
+    def double_double(self) -> tuple:
+        """(hi, lo): the nonzero num / den entries as double-double floats.
+
+        Aligned with nonzero's values: hi is num / den correctly rounded,
+        lo the exact remainder num / den - hi correctly rounded, so
+        |num / den - hi - lo| <= 2^-53 |lo| and |lo| <= 2^-53 |hi|.
+        """
+        hi = [v / self.den for v in self.nonzero[3].tolist()]
+        lo = []
+        for v, h in zip(self.nonzero[3].tolist(), hi):
+            p, q = h.as_integer_ratio()
+            lo.append((v * q - p * self.den) / (self.den * q))
+        return np.array(hi, dtype=np.float64), np.array(lo, dtype=np.float64)
 
     @cached_property
     def factors(self) -> tuple:
@@ -238,7 +267,7 @@ def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int) -> float
         raise ValueError(f"level {level} beyond table depth {MAX_LEVEL_DEFAULT}")
     jets = warp.side_jets(x, level + 1, side)
     table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
-    g = _gamma_values(_collapse_b(table, b), np.array([float(k)]))[:, 0]
+    g = _gamma_values((table,), b, np.array([float(k)]))[0][:, 0]
     return float(_beta_table(jets[None], table, b)[0] @ g)
 
 
@@ -262,41 +291,212 @@ def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
 
 
 # ---------------------------------------------------------------------------
-# exact collapse of the b powers
+# collapse of the b powers: compensated Horner, exact where in doubt
 
 
-def _collapse_b(table: GammaLevel, b: float) -> np.ndarray:
-    """One level's k coefficients at this b, correctly rounded.
+def _b_scale(table: GammaLevel, b: float) -> tuple:
+    """(bpow, den): b^i = bpow[i] / den exactly, i = 0 .. l, in integers.
 
-    Returns a (sequences, 2l + 1) matrix in ascending k powers.  b is a
-    float, so b = m / 2^e exactly.  Each k coefficient
-    sum_i (num[i] / den) (m / 2^e)^i is one exact integer ratio over
-    den 2^(e l), rounded once by int / int division: the same floats as
-    collapsing through Fraction.  Only the nonzero entries are summed
-    (GammaLevel.nonzero); a cell without any is exactly 0.
+    b is a float, so b = m / 2^e with integers m, e >= 0; then
+    bpow[i] = m^i 2^(e (l - i)) and den = table.den 2^(e l), which folds
+    the table's denominator in.
     """
     m, two_e = float(b).as_integer_ratio()
     shift = two_e.bit_length() - 1
     top = table.num.shape[1] - 1
     bpow = np.array([m**i << (shift * (top - i)) for i in range(top + 1)],
                     dtype=object)
+    return bpow, table.den << (shift * top)
+
+
+def _collapse_b(table: GammaLevel, b: float) -> np.ndarray:
+    """One level's k coefficients at this b, correctly rounded, in integers.
+
+    Returns a (sequences, 2l + 1) matrix in ascending k powers.  Each k
+    coefficient sum_i (num[i] / den) b^i is one exact integer ratio
+    (_b_scale), rounded once by int / int division: the same floats as
+    collapsing through Fraction.  Only the nonzero entries are summed
+    (GammaLevel.nonzero); a cell without any is exactly 0.
+
+    This is the reference of the fast path, _collapse_levels, which
+    agrees with it bit for bit: the fast path evaluates every cell by a
+    compensated Horner scheme in b and certifies its rounding, and the few
+    cells it cannot certify take these integer sums cell by cell
+    (_exact_cells).
+    """
+    bpow, den = _b_scale(table, b)
     cells, starts, powers, values = table.nonzero
     acc = np.add.reduceat(values * bpow[powers], starts)
     out = np.zeros(table.num.shape[::2])
-    out.flat[cells] = acc / (table.den << (shift * top))
+    out.flat[cells] = acc / den
     return out
 
 
-def _gamma_values(coef: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """gamma_{l,n}(k) for every sequence n and every order k in ks.
+def _exact_cells(table: GammaLevel, b: float, which: np.ndarray) -> list:
+    """_collapse_b's value at the nonzero cells table.nonzero[0][which]."""
+    bpow, den = _b_scale(table, b)
+    _, starts, powers, values = table.nonzero
+    ends = np.append(starts[1:], len(values))
+    return [sum((values[lo:hi] * bpow[powers[lo:hi]]).tolist()) / den
+            for lo, hi in zip(starts[which], ends[which])]
 
-    Horner from the top k power: the same operations per entry as
-    evaluating one polynomial at a time.
+
+# Dekker's split: x = hi + lo with hi on 26 bits, exact in round to nearest
+_SPLIT = 2.0**27 + 1.0
+_U = 2.0**-53  # unit roundoff of binary64
+_ETA = 2.0**-1074  # least subnormal: the absolute error of an underflow
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """The gamma tables of several levels laid out for one pass in b and k.
+
+    The k coefficients of every level form one stacked (rows, width)
+    matrix: each table's sequences are the rows blocks[t] (start, stop),
+    widest level first, and the columns are ascending k powers, zero past
+    a level's 2l.  The rows of k degree >= j are then the prefix
+    k_active[j].
+
+    Each nonzero cell c of that matrix is the polynomial
+    sum_i (hi[i, c] + lo[i, c]) b^i.  Cells run in descending b degree, so
+    the cells of degree >= i are the prefix b_active[i].  dest[c] is the
+    cell's flat index in the matrix; table[c] and cell[c] locate it in its
+    level's nonzero cells, for the exact fallback.
     """
+
+    hi: np.ndarray  # (b degree + 1, cells)
+    lo: np.ndarray
+    habs: np.ndarray  # |hi|
+    b_active: tuple
+    dest: np.ndarray
+    table: np.ndarray
+    cell: np.ndarray
+    blocks: tuple
+    k_active: tuple
+    shape: tuple
+
+
+# one entry per set of live levels; a map's vanishing jets fix that set
+@lru_cache(maxsize=16)
+def _stack(tables: tuple) -> _Stack:
+    widths = [t.num.shape[2] for t in tables]
+    width = max(widths)
+    top = max(t.num.shape[1] for t in tables) - 1
+    starts, row = {}, 0
+    for index in sorted(range(len(tables)), key=lambda t: -widths[t]):
+        starts[index], row = row, row + tables[index].num.shape[0]
+    degree, dest, owner, words = [], [], [], []
+    for index, t in enumerate(tables):
+        cells, first, powers, _ = t.nonzero
+        entry_cell = np.repeat(np.arange(len(cells)), np.diff(np.append(first, len(powers))))
+        block = np.zeros((2, top + 1, len(cells)))
+        block[:, powers, entry_cell] = t.double_double
+        degree.append(np.maximum.reduceat(powers, first))
+        dest.append((starts[index] + cells // widths[index]) * width + cells % widths[index])
+        owner.append(np.full(len(cells), index))
+        words.append(block)
+    degree = np.concatenate(degree)
+    order = np.argsort(-degree, kind="stable")
+    hi, lo = np.concatenate(words, axis=2)[:, :, order]
+    return _Stack(
+        hi=hi, lo=lo, habs=np.abs(hi),
+        b_active=tuple(int(np.count_nonzero(degree >= i)) for i in range(top + 1)),
+        dest=np.concatenate(dest)[order],
+        table=np.concatenate(owner)[order],
+        cell=np.concatenate([np.arange(len(t.nonzero[0])) for t in tables])[order],
+        blocks=tuple((starts[t], starts[t] + tables[t].num.shape[0])
+                     for t in range(len(tables))),
+        k_active=tuple(sum(t.num.shape[0] for t, w in zip(tables, widths) if w > j)
+                       for j in range(width)),
+        shape=(row, width),
+    )
+
+
+def _collapse_levels(tables: tuple, b: float) -> np.ndarray:
+    """The k coefficients of every level in tables at this b, stacked.
+
+    The layout is _stack(tables)'s: table t's rows are blocks[t], and its
+    first 2l + 1 columns are _collapse_b's matrix bit for bit, the rest 0.
+
+    Every cell runs one compensated Horner scheme in b (Graillat, Langlois
+    & Louvet 2005): TwoProd by Dekker's split and TwoSum carry the
+    rounding errors of the hi words into a correction c, which also takes
+    the lo words, and the result stays unevaluated as (s, c).  With n the
+    widest b degree,
+        |s + c - p(b)| <= E = 2 (2n + 2)^2 u^2 p~(|b|) + 16 (n + 1) eta max(1, |b|)^n,
+    where p~ is the Horner sum of |hi| at |b|, u = 2^-53 and eta the least
+    subnormal: (gamma_{2n+1}^2 + u^2) p~ bounds the compensated Horner and
+    the lo words' rounding, the factor 2 the rounding of p~ itself, and
+    the eta term underflow.  With y + r = s + c (TwoSum), y is the
+    correctly rounded p(b) when |r| + E is below half the smaller ulp
+    gap next to y (Ziv's test); a cell that fails it, an exact zero or a
+    tie among them, takes the exact integer sum (_exact_cells).
+    """
+    st = _stack(tables)
+    b = float(b)
+    n = st.hi.shape[0] - 1
+    ab = abs(b)
+    bh = b * _SPLIT - (b * _SPLIT - b)
+    bl = b - bh
+    # an overflow (a huge b) leaves inf or nan, which fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, c, bound = st.hi[n].copy(), st.lo[n].copy(), st.habs[n].copy()
+        for i in range(n - 1, -1, -1):
+            m = st.b_active[i]
+            sv, a = s[:m], st.hi[i, :m]
+            # TwoProd: p + err = s b exactly
+            p = sv * b
+            t = sv * _SPLIT
+            sh = t - (t - sv)
+            sl = sv - sh
+            err = ((sh * bh - p) + sh * bl + sl * bh) + sl * bl
+            # TwoSum: total + sigma = p + a exactly
+            total = p + a
+            z = total - p
+            err += (p - (total - z)) + (a - z)
+            err += st.lo[i, :m]
+            c[:m] *= b
+            c[:m] += err
+            bound[:m] *= ab
+            bound[:m] += st.habs[i, :m]
+            s[:m] = total
+        y = s + c
+        z = y - s
+        r = (s - (y - z)) + (c - z)
+        E = (2 * (2 * n + 2) ** 2 * _U * _U) * bound \
+            + 16 * (n + 1) * _ETA * np.float64(max(1.0, ab)) ** n
+        # half the gap below |y|, the smaller one at a power of two; 0 at 0
+        ay = np.abs(y)
+        half = (ay - np.nextafter(ay, 0.0)) * 0.5
+        sure = np.abs(r) + E < half
+    out = np.zeros(st.shape)
+    out.flat[st.dest] = y
+    doubt = np.flatnonzero(~sure)
+    for index in set(st.table[doubt].tolist()):
+        cells = doubt[st.table[doubt] == index]
+        out.flat[st.dest[cells]] = _exact_cells(tables[index], b, st.cell[cells])
+    return out
+
+
+def _gamma_values(tables: tuple, b: float, ks: np.ndarray) -> list:
+    """gamma_{l,n}(k) of every level in tables at this b, for every k in ks.
+
+    One (sequences, ks) matrix per table.  The b collapse is one batched
+    pass (_collapse_levels), and the k polynomials run one Horner over the
+    stacked levels from the widest top k power; a shorter level's rows
+    join at their own top power (the prefix k_active), so each entry takes
+    the same operations as evaluating its polynomial alone.
+    """
+    if not tables:
+        return []
+    coef = _collapse_levels(tables, b)
+    st = _stack(tables)
     g = np.zeros((coef.shape[0], ks.size))
     for j in range(coef.shape[1] - 1, -1, -1):
-        g = g * ks + coef[:, j, None]
-    return g
+        m = st.k_active[j]
+        g[:m] *= ks
+        g[:m] += coef[:m, j, None]
+    return [g[start:stop] for start, stop in st.blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +542,15 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
                  kernel_tol: float = KERNEL_TOL_DEFAULT) -> KernelBundle:
     """Assemble the jump kernels for every singularity of the map.
 
-    One pass per level covers every jump and both sides: the level's
-    betas on all 2J one-sided jet rows (_beta_table), then, if any of
-    them is nonzero, its gamma values at the R row orders, one sequential
-    sum over the sequences per row for alpha, and every jump's S band
-    from it.  A level whose betas are all exactly 0 is skipped, so it
-    collapses no gamma and its band stays 0: on a piecewise-linear map
-    every jet past Dw is 0 and only level 0 is built.  NaN or inf betas
-    are not 0 and are kept.
+    Each level's betas cover every jump and both sides, on all 2J
+    one-sided jet rows (_beta_table).  The levels with a nonzero beta
+    take their gamma values at the R row orders from one batched
+    collapse (_gamma_values), then per level one sequential sum over the
+    sequences per row for alpha, and every jump's S band from it.  A
+    level whose betas are all exactly 0 is left out, so it collapses no
+    gamma and its band stays 0: on a piecewise-linear map every jet past
+    Dw is 0 and only level 0 is built.  NaN or inf betas are not 0 and
+    are kept.
 
     Refuses when any one-sided decay ratio is at or below 1: the
     correction series would diverge there, and the sampling geometry has
@@ -392,11 +593,12 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     # at R = 80 the level cap 12 leaves 1.5e-6 where 16 reaches 5.3e-9,
     # likely because gamma_l(k) grows like k^(2l) (ROADMAP item 1)
     S = np.zeros((len(ratios), R, R), dtype=np.complex128)
-    for level, table in enumerate(gamma_tables(MAX_LEVEL_DEFAULT)[:R]):
-        beta = _beta_table(jets, table, b)
-        if not beta.any():
-            continue
-        g = _gamma_values(_collapse_b(table, b), rows)
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)[:R]
+    betas = [_beta_table(jets, table, b) for table in tables]
+    live = [level for level, beta in enumerate(betas) if beta.any()]
+    gammas = _gamma_values(tuple(tables[level] for level in live), b, rows)
+    for level, g in zip(live, gammas):
+        beta = betas[level]
         # alpha_{i,level} per jet row: summed over the sequences in table order
         alpha = np.add.accumulate(beta[:, :, None] * g, axis=1)[:, -1]
         k = np.arange(R - level)

@@ -127,6 +127,22 @@ def test_decay_ratio_uses_worse_side():
     assert right == pytest.approx(2.0 * left, rel=1e-12)
 
 
+def test_decay_ratio_reads_the_stored_slopes():
+    # the stored one-sided slopes are the side_jets values, so the ratio is
+    # the side_jets formula bit for bit; a point off the singularities and
+    # an unknown side are refused
+    w = wm.piecewise_linear_map()
+    sp = di.domain_spec(w, 33, 67)
+    for xi in w.singularities:
+        for side in ("left", "right"):
+            want = sp.row_radius / (sp.col_radius * w.side_jets(xi, 1, side)[1])
+            assert di.singularity_decay_ratio(w, sp, xi, side) == want
+    with pytest.raises(ValueError, match="not a singularity"):
+        di.singularity_decay_ratio(w, sp, 0.123)
+    with pytest.raises(ValueError, match="side"):
+        di.singularity_decay_ratio(w, sp, w.singularities[0], "up")
+
+
 def test_summary_mentions_singularity():
     w = wm.exponential_map()
     rep = di.check_feasibility(di.domain_spec(w, 33, 67, L_N=4, L_M=10))

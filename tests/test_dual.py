@@ -25,6 +25,7 @@ from pswarp.saf_operators import (
     build_W_t,
 )
 from pswarp.warp_map import (
+    atan_tan_map,
     cubic_seam_map,
     exponential_map,
     identity_map,
@@ -387,6 +388,17 @@ def test_dual_freq_identity_map_is_forward_operator():
     Wf = build_W_f(w, spec)
     D = dual_W_f(w, spec)
     assert np.array_equal(D.entries, Wf.entries)
+
+
+@pytest.mark.xfail(strict=True, reason="a smooth map gets no correction: "
+                   "atan_tan at M = 2N + 1 pairs to 0.12, unreported")
+def test_dual_freq_smooth_map_near_the_redundancy_edge():
+    # atan_tan_map() has no jump, so dual_W_f returns W_f itself; max Dw = 2
+    # against M / N = 2.03 leaves aliasing that nothing corrects or reports
+    w = atan_tan_map()
+    spec = domain_spec(w, 33, 67, b=0.5)
+    assert w.singularities == []
+    assert build_W_f(w, spec).deviation_from_identity(dual_W_f(w, spec)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

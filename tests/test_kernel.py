@@ -350,6 +350,58 @@ def test_kernel_matches_fraction_collapse_bit_for_bit(b):
             assert np.array_equal(ker.S, ref), (w.spec_json["type"], b)
 
 
+def _assert_batched_collapse_is_exact(tables, b):
+    """Each level's block of the batched collapse is _collapse_b's, bit for bit."""
+    got = symbolic_kernel._collapse_levels(tables, b)
+    blocks = symbolic_kernel._stack(tables).blocks
+    for table, (start, stop) in zip(tables, blocks):
+        ref = symbolic_kernel._collapse_b(table, b)
+        block = got[start:stop]
+        level = table.seqs[0].level
+        # tobytes compares zero signs too
+        assert block[:, :ref.shape[1]].tobytes() == ref.tobytes(), (b, level)
+        assert not block[:, ref.shape[1]:].any(), (b, level)
+
+
+BATCH_B = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-30, 1.0 - 2.0**-53,
+           float(np.nextafter(0.5, 1.0)), 1.0 / 3.0, 0.7123456789]
+
+
+@pytest.mark.parametrize("b", BATCH_B)
+def test_batched_collapse_is_the_exact_collapse_at_fixed_b(b):
+    _assert_batched_collapse_is_exact(gamma_tables(MAX_LEVEL_DEFAULT), b)
+
+
+def test_batched_collapse_is_the_exact_collapse_at_random_b():
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)
+    for b in np.random.default_rng(2005).uniform(0.0, 1.0, 200):
+        _assert_batched_collapse_is_exact(tables, float(b))
+    # any subset in any order: the layout puts the widest level first
+    for b in (0.3, 0.7123456789):
+        _assert_batched_collapse_is_exact((tables[5], tables[12], tables[0]), b)
+        _assert_batched_collapse_is_exact((tables[4],), b)
+
+
+def test_batched_collapse_falls_back_to_integers_on_an_exact_zero(monkeypatch):
+    # level 1's k coefficient b - 1/2 is exactly 0 at b = 1/2; half an ulp
+    # of 0 is below every positive bound, so that cell cannot be certified
+    # and must take the exact integer sum
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)
+    level1 = tables[1]
+    assert _poly_string(level1.den, level1.num[0]) == "1/2 k^2 + (b - 1/2) k"
+    exact = symbolic_kernel._exact_cells
+    fallback = []
+
+    def recorded(table, b, which):
+        fallback.extend((table.seqs[0].level, int(table.nonzero[0][c])) for c in which)
+        return exact(table, b, which)
+
+    monkeypatch.setattr(symbolic_kernel, "_exact_cells", recorded)
+    _assert_batched_collapse_is_exact(tables, 0.5)
+    assert (1, 1) in fallback  # sequence 0, k^1
+    assert symbolic_kernel._collapse_b(level1, 0.5)[0, 1] == 0.0
+
+
 @pytest.mark.parametrize("b", [0.0, 0.5, 0.7123456789, 1.0])
 @pytest.mark.parametrize("w", [exponential_map(), cubic_seam_map(), spline_map(),
                                piecewise_linear_map()],
@@ -367,14 +419,15 @@ def test_beta_table_matches_scalar_definition_bit_for_bit(w, b):
 
 
 def _count_collapses(monkeypatch):
+    """The levels handed to the batched b collapse, in order."""
     levels = []
-    collapse = symbolic_kernel._collapse_b
+    collapse = symbolic_kernel._collapse_levels
 
-    def counted(table, b):
-        levels.append(table.seqs[0].level)
-        return collapse(table, b)
+    def counted(tables, b):
+        levels.extend(table.seqs[0].level for table in tables)
+        return collapse(tables, b)
 
-    monkeypatch.setattr(symbolic_kernel, "_collapse_b", counted)
+    monkeypatch.setattr(symbolic_kernel, "_collapse_levels", counted)
     return levels
 
 
