@@ -244,6 +244,10 @@ def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
     return (-1.0) ** np.arange(s_max) * c
 
 
+# phase-0 band-complement sums kept process-wide, 2 s_max values each
+_PHASE0_SUMS = 64
+
+
 def band_complement_power_sums(s_max: int, band, delta: float,
                                scale: float = 1.0) -> np.ndarray:
     """out[s-2] = sum over integers m outside `band` of e^(j2pi m delta) (m/scale)^(-s).
@@ -252,13 +256,32 @@ def band_complement_power_sums(s_max: int, band, delta: float,
     _FOLD_POWERS take the residue-class fold (module docstring), higher
     ones direct sums on both sides.  At phase 0 or 1/2 the sums are
     exactly real, and on a symmetric band the odd ones exactly zero.
+
+    The phase-0 vector, the diagonal of every tail Gram, depends on
+    (s_max, band, scale) alone: it is computed once per key, kept for
+    the process (the last _PHASE0_SUMS keys) and returned read-only.
+    Every other phase is computed per call into a new array.
     """
     idx = np.asarray(band, dtype=np.int64)
     lo, hi = int(idx.min()), int(idx.max())
     if lo > 0 or hi < 0 or idx.size != hi - lo + 1:
         raise ValueError("band must be a contiguous integer range containing 0")
-    P = hi - lo + 1
     frac = float(delta) % 1.0
+    if frac == 0.0:
+        return _phase0_sums(s_max, lo, hi, float(scale))
+    return _power_sums(s_max, lo, hi, frac, scale)
+
+
+@lru_cache(maxsize=_PHASE0_SUMS)
+def _phase0_sums(s_max: int, lo: int, hi: int, scale: float) -> np.ndarray:
+    out = _power_sums(s_max, lo, hi, 0.0, scale)
+    out.flags.writeable = False
+    return out
+
+
+def _power_sums(s_max: int, lo: int, hi: int, frac: float, scale: float) -> np.ndarray:
+    """band_complement_power_sums on the band lo..hi at phase frac in [0, 1)."""
+    P = hi - lo + 1
     out = np.zeros(max(s_max - 1, 0), dtype=np.complex128)
     s_fold = min(s_max, _FOLD_POWERS)
     if s_fold >= 2:

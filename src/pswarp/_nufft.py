@@ -1,9 +1,17 @@
 """Spreading FFT for integer-frequency trigonometric sums at arbitrary points.
 
-Two entry points, adjoint to each other:
+A spreading plan, ``spread(points, freq_set)``, holds everything that
+depends on the points and the set alone: each point's spreading cells,
+its window values on them, its re-centring phase, and the set's grid
+and window transform.  It is frozen and its arrays are read-only, so
+one plan serves every call on its (points, set), as in FINUFFT's
+plan-once, execute-many interface.  Two entry points take it, adjoint
+to each other:
 
-* ``nufft_eval``: sum_{k in set} c_k e^{2 pi j k t} at nonuniform t.
-* ``nufft_project``: sum_j v_j e^{-2 pi j k t_j} for k in the set.
+* ``nufft_eval(spread, coeffs)``: sum_{k in set} c_k e^{2 pi j k t} at
+  the plan's points t.
+* ``nufft_project(spread, values)``: sum_j v_j e^{-2 pi j k t_j} for k
+  in the set.
 
 Oversampled FFT (ratio >= 2) with a Kaiser-Bessel window of half-width
 14 cells.  Frequencies are re-centered so an asymmetric set costs one
@@ -16,6 +24,7 @@ projection 1e-13 at the band edges, where dividing out the window
 transform amplifies its aliasing floor).
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +51,9 @@ def _plan(set_n, set_l):
     arg = beta**2 - (2.0 * np.pi * w * shifted / n) ** 2
     root = np.sqrt(arg)  # positive throughout: |shifted| < n/4 by construction
     window_hat = (2.0 * w / n) * np.sinh(root) / (np.i0(beta) * root)
+    # every plan of the set shares these two
+    shifted.flags.writeable = False
+    window_hat.flags.writeable = False
     return k0, shifted, n, w, beta, window_hat
 
 
@@ -84,33 +96,56 @@ def _spread_geometry(t, n, w):
     return cells % n, dist
 
 
-def nufft_eval(points, coeffs, freq_set):
-    """Evaluate sum_{k in freq_set} coeffs_k e^{2 pi j k t} at each point."""
+@dataclass(frozen=True, eq=False)
+class Spread:
+    """The plan of one (points, frequency set); its arrays are read-only.
+
+    size is the point count, so np.size of a plan reads its points.
+    """
+
+    size: int
+    n: int  # spreading grid length
+    bins: np.ndarray  # grid bin of each set frequency, re-centred on k0
+    window_hat: np.ndarray  # window transform at each set frequency
+    cells: np.ndarray  # (size, 2 w + 1) grid cells of each point
+    window: np.ndarray  # (size, 2 w + 1) window values on those cells
+    phase: np.ndarray  # (size,) re-centring phase e^{2 pi j k0 t}
+
+
+def spread(points, freq_set) -> Spread:
+    """The spreading plan of points on freq_set, for nufft_eval and nufft_project."""
     t = np.asarray(points, dtype=float)
-    c = np.asarray(coeffs, dtype=complex)
     k0, shifted, n, w, beta, window_hat = _plan(freq_set.N, freq_set.L)
-    if c.shape[0] != shifted.shape[0]:
+    cells, dist = _spread_geometry(t, n, w)
+    window = _window(dist, w, beta)
+    phase = np.exp(2j * np.pi * _reduced_product(t, k0)[1])
+    bins = shifted % n
+    for a in (bins, cells, window, phase):
+        a.flags.writeable = False
+    return Spread(t.shape[0], n, bins, window_hat, cells, window, phase)
+
+
+def nufft_eval(spread, coeffs):
+    """Evaluate sum_{k in set} coeffs_k e^{2 pi j k t} at each point of the plan."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = spread.n
+    if c.shape[0] != spread.bins.shape[0]:
         raise ValueError("coefficient count does not match the frequency set")
     z = np.zeros(n, dtype=complex)
-    z[shifted % n] = c / (n * window_hat)
+    z[spread.bins] = c / (n * spread.window_hat)
     g = np.fft.ifft(z) * n
-    cells, dist = _spread_geometry(t, n, w)
-    vals = _window(dist, w, beta)
-    f = np.einsum("jc,jc->j", vals, g[cells])
-    return f * np.exp(2j * np.pi * _reduced_product(t, k0)[1])
+    f = np.einsum("jc,jc->j", spread.window, g[spread.cells])
+    return f * spread.phase
 
 
-def nufft_project(points, values, freq_set):
-    """Adjoint: sum_j values_j e^{-2 pi j k t_j} over k in freq_set."""
-    t = np.asarray(points, dtype=float)
+def nufft_project(spread, values):
+    """Adjoint: sum_j values_j e^{-2 pi j k t_j} over k in the plan's set."""
     v = np.asarray(values, dtype=complex)
-    if v.shape[0] != t.shape[0]:
+    if v.shape[0] != spread.size:
         raise ValueError("value count does not match the point count")
-    k0, shifted, n, w, beta, window_hat = _plan(freq_set.N, freq_set.L)
-    vmod = v * np.exp(-2j * np.pi * _reduced_product(t, k0)[1])
-    cells, dist = _spread_geometry(t, n, w)
-    vals = _window(dist, w, beta)
+    n = spread.n
+    vmod = v * spread.phase.conj()
     z = np.zeros(n, dtype=complex)
-    np.add.at(z, cells.ravel(), (vals * vmod[:, None]).ravel())
+    np.add.at(z, spread.cells.ravel(), (spread.window * vmod[:, None]).ravel())
     spectrum = np.fft.fft(z)
-    return spectrum[shifted % n] / (n * window_hat)
+    return spectrum[spread.bins] / (n * spread.window_hat)

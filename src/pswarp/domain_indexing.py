@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _nufft
+
 __all__ = [
     "IndexSet",
     "dirichlet_kernel",
@@ -116,8 +118,13 @@ def _resolve_b(spec, b):
 class DomainSpec:
     """A map bound to its index sets, mode and default b; frozen, sampled once.
 
-    ``samples`` (the map on t_q = q/M, read by every sampled operator) and
-    ``dirichlet`` (the b-free D the dense ones read) form once, on first use.
+    Three b-free records form once, on first use, and are read-only:
+
+    * ``samples``, the map on t_q = q/M, which every sampled operator reads;
+    * ``dirichlet``, the D(w(t_q) - p/N) the dense operators read;
+    * ``spread(index_set, negate)``, the ``_nufft`` spreading plan of the
+      points +-w(t_q) on a set, one per (points, set), which every
+      matrix-free applier call on the spec shares.
     """
 
     warp: object
@@ -157,14 +164,31 @@ class DomainSpec:
 
     @cached_property
     def samples(self):
-        """w(t_q), Dw(t_q) and the slope-jump hits (warp_map.Samples)."""
-        return self.warp.sample(np.arange(self.M) / self.M)
+        """w(t_q), Dw(t_q) and the slope-jump hits (warp_map.Samples), read-only."""
+        s = self.warp.sample(np.arange(self.M) / self.M)
+        for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits)):
+            a.flags.writeable = False
+        return s
 
     @cached_property
     def dirichlet(self):
-        """D(w(t_q) - p/N) of the input set, (M, N)."""
+        """D(w(t_q) - p/N) of the input set, (M, N), read-only."""
         p = np.arange(self.N) / self.N
-        return dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.input_set)
+        d = dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.input_set)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def _spreads(self):
+        return {}
+
+    def spread(self, index_set, negate=False):
+        """The spreading plan of w(t_q), or of -w(t_q) when negate, on index_set."""
+        key = (index_set, negate)
+        if key not in self._spreads:
+            t = self.samples.values
+            self._spreads[key] = _nufft.spread(-t if negate else t, index_set)
+        return self._spreads[key]
 
     def require_map(self, warp):
         # feasibility vouches for self.warp only; `is`, as WarpMap == compares arrays

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,16 +33,43 @@ from .warp_map import _coincides
 # bases
 
 
+# aligned row folds kept process-wide, least recently used dropped first
+_ALIGNED_FOLDS = 8
+
+
 def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
     """(row_radius / M)^(i+1) T_{i+1}(m/M, q) on every band row m, i < R.
 
     The tail row basis (m / row_radius)^-(i+1) folded over the full row
     lattice with row phase q = exp(j2pi twist), all band rows in one
-    lattice_tail_values call.
+    lattice_tail_values call.  The aligned fold (twist 0) is real and
+    depends on (output set, R) alone: it comes read-only from
+    _aligned_fold, shared by every spec of that output set.  A twisted
+    fold is made per call.
     """
-    ms = np.asarray(spec.output_set.indices, dtype=np.int64)
-    pref = (spec.row_radius / spec.M) ** (np.arange(R) + 1.0)
-    return pref * lattice_tail_values(ms / spec.M, R, twist)
+    if twist == 0.0:
+        return _aligned_fold(spec.output_set, spec.row_radius, R)
+    return _fold(spec.output_set, spec.row_radius, R, twist)
+
+
+def _fold(output_set, row_radius: float, R: int, twist: float) -> np.ndarray:
+    M = output_set.N
+    ms = np.asarray(output_set.indices, dtype=np.int64)
+    pref = (row_radius / M) ** (np.arange(R) + 1.0)
+    return pref * lattice_tail_values(ms / M, R, twist)
+
+
+@lru_cache(maxsize=_ALIGNED_FOLDS)
+def _aligned_fold(output_set, row_radius: float, R: int) -> np.ndarray:
+    """The twist-0 row fold, real, read-only; row_radius is the set's own.
+
+    Holds at most _ALIGNED_FOLDS folds of M x R float64 each: with
+    R <= ROW_CAP = 64 at N = 2^16 and M = 2N + 1, 67 MB a fold and
+    537 MB in all.
+    """
+    U = np.ascontiguousarray(_fold(output_set, row_radius, R, 0.0).real)
+    U.flags.writeable = False
+    return U
 
 
 def build_bases(spec: DomainSpec, R: int) -> np.ndarray:
@@ -71,7 +98,7 @@ class JumpCorrection:
     xi: float
     image: float  # map value at the jump, mod 1
     S: np.ndarray
-    U: np.ndarray  # (M_band, R) row-lattice fold at _fold_twist; real when aligned
+    U: np.ndarray  # (M_band, R) row-lattice fold at _fold_twist; real, shared when aligned
     lattice_aligned: bool  # xi on the output sample lattice, so the twist is 0
     p_band: np.ndarray
     q: np.ndarray
@@ -168,10 +195,8 @@ def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
     floor = math.inf
     for ker in bundle.kernels:
         twist = _fold_twist(M, ker.xi)
-        aligned = twist == 0.0
         if twist not in folds:
-            U = _row_fold(spec, bundle.rows, twist)
-            folds[twist] = U.real if aligned else U
+            folds[twist] = _row_fold(spec, bundle.rows, twist)
         U = folds[twist]
         q = np.exp(-2j * np.pi * ns * ker.image)
         block = ker.S @ V * q
@@ -185,7 +210,7 @@ def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
             image=ker.image,
             S=ker.S,
             U=U,
-            lattice_aligned=aligned,
+            lattice_aligned=twist == 0.0,
             p_band=np.exp(2j * np.pi * ms * ker.xi),
             q=q,
             block=block,

@@ -36,7 +36,11 @@ The ``apply_*`` functions are the matrix-free twins of the dense forms:
 the nonuniform stage goes through the spreading FFT in ``_nufft``, the
 uniform stages through the same FFT pair.  They agree with the dense
 matrices to 1e-12 (tested up to M = 511) and are preferred when only
-products are needed.
+products are needed.  The spreading plan, the points' cells, window
+values and phases, is b-free: the appliers on w take the spec's, one
+per (points, set) built on its first use (``spec.spread``), so repeated
+calls on a spec spread without evaluating the window again;
+``apply_swf_time_invmap`` samples v per call and plans it per call.
 """
 
 from dataclasses import dataclass
@@ -236,35 +240,37 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
 
 
 def apply_warped_dft(warp, spec, x, b=None):
-    _, wv, wt = _sampled(warp, spec, b)
+    _, _, wt = _sampled(warp, spec, b)
     _require_vector(x, spec.M)
     vals = wt * np.asarray(x, dtype=complex) / np.sqrt(spec.M)
-    return _nufft.nufft_project(wv, vals, spec.output_set)
+    return _nufft.nufft_project(spec.spread(spec.output_set), vals)
 
 
 def apply_swf_freq(warp, spec, x, b=None):
-    _, wv, wt = _sampled(warp, spec, b)
+    _, _, wt = _sampled(warp, spec, b)
     _require_vector(x, spec.N)
     # inner: evaluate the input-band series at the warped grid points
-    g = _nufft.nufft_eval(-wv, np.asarray(x, dtype=complex), spec.input_set)
+    g = _nufft.nufft_eval(spec.spread(spec.input_set, negate=True),
+                          np.asarray(x, dtype=complex))
     out = _uniform_analysis(np.conj(wt * g), spec.output_set)
     return np.conj(out) / spec.M
 
 
 def apply_swf_time(warp, spec, x, b=None):
     _require_tw(spec)
-    _, wv, wt = _sampled(warp, spec, b)
+    _, _, wt = _sampled(warp, spec, b)
     _require_vector(x, spec.N)
     xhat = _uniform_analysis(x, spec.input_set)
-    out = wt * _nufft.nufft_eval(wv, xhat, spec.input_set) / np.sqrt(spec.M * spec.N)
+    g = _nufft.nufft_eval(spec.spread(spec.input_set), xhat)
+    out = wt * g / np.sqrt(spec.M * spec.N)
     return out.real if np.isrealobj(x) else out
 
 
 def apply_swf_time_invmap(warp, spec, x, b=None, inverse=None):
     _, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
     _require_vector(x, spec.N)
-    inner = _nufft.nufft_project(-vv, vwt * np.asarray(x, dtype=complex),
-                                 spec.output_set)
+    inner = _nufft.nufft_project(_nufft.spread(-vv, spec.output_set),
+                                 vwt * np.asarray(x, dtype=complex))
     out = _uniform_synthesis(inner.conj(), spec.output_set).conj()
     out /= np.sqrt(spec.M * spec.N)
     return out.real if np.isrealobj(x) else out

@@ -19,6 +19,7 @@ from pswarp.dual_operators import (
     tail_row_gram,
 )
 from pswarp import _lattice as lat
+from pswarp import saf_operators as saf
 from pswarp.saf_operators import (
     build_factorization,
     build_W_f,
@@ -205,6 +206,18 @@ def test_conjugate_factorization_reuses_the_folds():
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
     assert np.array_equal(stacked_blocks(fresh), dfact.H_dual)
+
+
+def test_fresh_specs_share_the_aligned_fold_and_a_bit_identical_gram():
+    # the aligned fold and the phase-0 Gram sums are built once per
+    # geometry; a warm build reads them and changes no bit of G
+    w = exponential_map()
+    saf._aligned_fold.cache_clear()
+    lat._phase0_sums.cache_clear()
+    cold = build_dual_factorization(w, domain_spec(w, 33, 67, b=0.5))
+    warm = build_dual_factorization(w, domain_spec(w, 33, 67, b=0.5))
+    assert warm.fact.pieces[0].U is cold.fact.pieces[0].U
+    assert np.array_equal(warm.G, cold.G)
 
 
 def test_dual_keeps_the_factorization_kernel_tol():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pswarp._lattice import (
     _inverse_h_series,
+    _power_sums,
     band_complement_power_sums,
     lattice_tail_values,
     unit_lattice_jets,
@@ -261,3 +262,18 @@ def test_band_complement_rejects_gaps():
         band_complement_power_sums(4, np.array([-2, 0, 1, 2]), 0.3)
     with pytest.raises(ValueError):
         band_complement_power_sums(4, np.array([1, 2, 3]), 0.3)
+
+
+def test_band_complement_phase0_sums_are_kept_read_only():
+    # the diagonal of every tail Gram: one vector per (s_max, band, scale),
+    # byte for byte the uncached sums, shared and read-only
+    band, scale = np.arange(-33, 34), 33.5
+    got = band_complement_power_sums(40, band, 0.0, scale=scale)
+    assert got.tobytes() == _power_sums(40, -33, 33, 0.0, scale).tobytes()
+    assert band_complement_power_sums(40, band, 2.0, scale=scale) is got
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+    # any other phase is a new array on each call
+    twisted = band_complement_power_sums(40, band, 0.25, scale=scale)
+    assert twisted.flags.writeable
+    assert band_complement_power_sums(40, band, 0.25, scale=scale) is not twisted

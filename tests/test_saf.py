@@ -18,6 +18,7 @@ from pswarp.saf_operators import (
     build_factorization,
     build_W_f,
     build_W_t,
+    _aligned_fold,
     _row_fold,
 )
 from pswarp.warp_map import (
@@ -125,6 +126,29 @@ def test_basis_rows_and_normalization():
                                    rtol=1e-12, atol=1e-300)
     z = list(spec.output_set.indices).index(0)
     assert np.all(U[z, 0::2] == 0.0)
+
+
+def test_aligned_fold_is_shared_by_every_spec_of_the_output_set():
+    w = exponential_map()
+    first = build_factorization(w, domain_spec(w, 33, 67, b=0.4), 0.4)
+    again = build_factorization(w, domain_spec(w, 33, 67, b=0.6), 0.6, R=first.rows)
+    U = first.pieces[0].U
+    assert first.pieces[0].lattice_aligned and U.dtype == np.float64
+    assert again.pieces[0].U is U
+    with pytest.raises(ValueError):
+        U[0, 0] = 0.0
+
+
+def test_twisted_folds_are_not_kept():
+    # equal end slopes: no jump at 0, both knots off the sample lattice
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.2, 0.8])
+    size = _aligned_fold.cache_info().currsize
+    first = build_factorization(w, domain_spec(w, 33, 67, b=0.5), 0.5)
+    again = build_factorization(w, domain_spec(w, 33, 67, b=0.5), 0.5)
+    assert not any(pc.lattice_aligned for pc in first.pieces)
+    assert _aligned_fold.cache_info().currsize == size
+    for pc, pd in zip(first.pieces, again.pieces):
+        assert pd.U is not pc.U and np.array_equal(pd.U, pc.U)
 
 
 def test_basis_peaks_at_input_edge():

@@ -384,11 +384,12 @@ def test_nufft_eval_and_project_vs_brute(N, L):
     t = rng.uniform(-2, 2, 300)
     c = rng.normal(size=N) + 1j * rng.normal(size=N)
     brute = np.exp(2j * np.pi * np.outer(t, s.indices)) @ c
-    got = _nufft.nufft_eval(t, c, s)
+    plan = _nufft.spread(t, s)
+    got = _nufft.nufft_eval(plan, c)
     assert np.max(np.abs(got - brute)) < 1e-12 * np.max(np.abs(brute))
     v = rng.normal(size=300) + 1j * rng.normal(size=300)
     brute_p = np.exp(-2j * np.pi * np.outer(s.indices, t)) @ v
-    got_p = _nufft.nufft_project(t, v, s)
+    got_p = _nufft.nufft_project(plan, v)
     assert np.max(np.abs(got_p - brute_p)) < 1e-12 * np.max(np.abs(brute_p))
 
 
@@ -411,13 +412,13 @@ def test_nufft_large_set_offsets_are_exact():
     probe_k = np.concatenate([ks[:3], ks[-3:], rng.choice(ks, 4)])
     v = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
     ref = _phase_ld(-probe_k[:, None], t[None, :]) @ v
-    got = _nufft.nufft_project(t, v, s)[probe_k - ks[0]]
+    got = _nufft.nufft_project(_nufft.spread(t, s), v)[probe_k - ks[0]]
     # measured 5e-14 here, and 3e-14 for evaluation below
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
     probe_t = np.concatenate([t[:3], t[-3:], rng.choice(t, 4)])
     c = rng.normal(size=N) + 1j * rng.normal(size=N)
     ref = _phase_ld(probe_t[:, None], ks[None, :]) @ c
-    got = _nufft.nufft_eval(probe_t, c, s)
+    got = _nufft.nufft_eval(_nufft.spread(probe_t, s), c)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -434,12 +435,12 @@ def test_nufft_asymmetric_set_modulation_is_exact(L):
     probe_k = np.concatenate([ks[:3], ks[-3:], rng.choice(ks, 4)])
     v = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
     ref = _phase_ld(-probe_k[:, None], t[None, :]) @ v
-    got = _nufft.nufft_project(t, v, s)[probe_k - ks[0]]
+    got = _nufft.nufft_project(_nufft.spread(t, s), v)[probe_k - ks[0]]
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
     probe_t = np.concatenate([t[:3], t[-3:], rng.choice(t, 4)])
     c = rng.normal(size=N) + 1j * rng.normal(size=N)
     ref = _phase_ld(probe_t[:, None], ks[None, :]) @ c
-    got = _nufft.nufft_eval(probe_t, c, s)
+    got = _nufft.nufft_eval(_nufft.spread(probe_t, s), c)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
@@ -449,14 +450,67 @@ def test_nufft_adjoint_pairing():
     t = rng.uniform(0, 1, 100)
     c = rng.normal(size=33) + 1j * rng.normal(size=33)
     v = rng.normal(size=100) + 1j * rng.normal(size=100)
-    lhs = np.vdot(v, _nufft.nufft_eval(t, c, s))
-    rhs = np.vdot(_nufft.nufft_project(t, v, s), c)
+    plan = _nufft.spread(t, s)
+    lhs = np.vdot(v, _nufft.nufft_eval(plan, c))
+    rhs = np.vdot(_nufft.nufft_project(plan, v), c)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
 def test_nufft_rejects_mismatched_sizes():
     s = di.make_index_set(9, 4)
+    plan = _nufft.spread(np.zeros(3), s)
     with pytest.raises(ValueError):
-        _nufft.nufft_eval(np.zeros(3), np.zeros(5), s)
+        _nufft.nufft_eval(plan, np.zeros(5))
     with pytest.raises(ValueError):
-        _nufft.nufft_project(np.zeros(3), np.zeros(5), s)
+        _nufft.nufft_project(plan, np.zeros(5))
+
+
+# --------------------------------------------------------------------------
+# spreading plans and the spec's shared arrays
+
+
+def test_spreading_plans_are_read_only():
+    s = di.make_index_set(33, 16)
+    plan = _nufft.spread(np.linspace(-0.5, 1.5, 20), s)
+    assert np.size(plan) == 20
+    _, shifted, _, _, _, window_hat = _nufft._plan(s.N, s.L)
+    for a in (shifted, window_hat, plan.bins, plan.window_hat, plan.cells,
+              plan.window, plan.phase):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_spec_shared_arrays_are_read_only():
+    # the exponential map's jump at 0 is a grid point: a hit mask to freeze
+    w = wm.exponential_map()
+    spec = tw_spec(w, 9, 19)
+    s = spec.samples
+    assert s.hits
+    plan = spec.spread(spec.input_set)
+    for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits),
+              spec.dirichlet, plan.cells, plan.window, plan.phase):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_appliers_share_the_spec_plan_and_match_a_fresh_spec(monkeypatch):
+    calls = []
+    window = _nufft._window
+    monkeypatch.setattr(_nufft, "_window",
+                        lambda *args: calls.append(1) or window(*args))
+    w = wm.exponential_map()
+    spec = tw_spec(w, 33, 67)
+    X = np.random.default_rng(4).standard_normal((33, 4))
+    bs = (0.3, 0.45, 0.5, 0.7)
+    got = [swf.apply_swf_time(w, spec, X[:, k], b) for k, b in enumerate(bs)]
+    assert len(calls) == 1
+    for k, b in enumerate(bs):
+        assert np.array_equal(got[k], swf.apply_swf_time(w, tw_spec(w, 33, 67), X[:, k], b))
+    # the frequency-domain appliers: one plan per (points, set) as well
+    w = wm.piecewise_linear_map()
+    spec = di.domain_spec(w, 33, 67)
+    calls.clear()
+    for _ in range(2):
+        swf.apply_swf_freq(w, spec, X[:, 0])
+        swf.apply_warped_dft(w, spec, np.ones(67))
+    assert len(calls) == 2
