@@ -22,9 +22,7 @@ __all__ = [
     "jet_reciprocal",
     "jet_div",
     "jet_exp",
-    "jet_log",
     "jet_pow",
-    "jet_tan",
     "jet_atan",
 ]
 
@@ -98,21 +96,6 @@ def jet_exp(a):
     return out
 
 
-def jet_log(a):
-    """Jet of log(f); requires a[0] != 0 (real positive for real jets)."""
-    a = np.asarray(a)
-    k = a.shape[0]
-    out = np.zeros(a.shape, dtype=np.result_type(a, float))
-    out[0] = np.log(a[0])
-    inv0 = 1.0 / a[0]
-    for i in range(1, k):
-        acc = i * a[i]
-        for j in range(1, i):
-            acc = acc - j * out[j] * a[i - j]
-        out[i] = acc * inv0 / i
-    return out
-
-
 def jet_pow(a, p):
     """Jet of f^p for real p; requires a[0] > 0.
 
@@ -129,24 +112,6 @@ def jet_pow(a, p):
         for j in range(1, i + 1):
             acc = acc + (p * j - (i - j)) * a[j] * out[i - j]
         out[i] = acc * inv0 / i
-    return out
-
-
-def jet_tan(a):
-    """Jet of tan(f) via t' = (1 + t^2) f'."""
-    a = np.asarray(a)
-    k = a.shape[0]
-    out = np.zeros(a.shape, dtype=np.result_type(a, float))
-    out[0] = np.tan(a[0])
-    sq = np.zeros_like(out)
-    sq[0] = out[0] * out[0]
-    for i in range(1, k):
-        acc = np.zeros_like(out[0])
-        for j in range(1, i + 1):
-            base = sq[i - j] + (1.0 if i - j == 0 else 0.0)
-            acc = acc + j * a[j] * base
-        out[i] = acc / i
-        sq[i] = (out[: i + 1] * out[i::-1]).sum(axis=0)
     return out
 
 

@@ -84,7 +84,8 @@ def dirichlet_kernel(x, index_set):
 
     Closed form as a ratio of sines with a linear phase; the argument is
     reduced mod 1 first so the sinc ratio never meets its removable
-    singularities. Real-valued whenever the set is symmetric.
+    singularities.  On a symmetric set the phase is 1 and the kernel is
+    returned real, float64; otherwise complex128.
     """
     x = np.asarray(x, dtype=float)
     lo = -index_set.L
@@ -93,7 +94,7 @@ def dirichlet_kernel(x, index_set):
     xr = x - np.round(x)
     mag = size * np.sinc(size * xr) / np.sinc(xr)
     if lo + hi == 0:
-        return mag.astype(complex)
+        return mag
     return np.exp(1j * np.pi * (lo + hi) * xr) * mag
 
 
@@ -121,10 +122,15 @@ class DomainSpec:
     Three b-free records form once, on first use, and are read-only:
 
     * ``samples``, the map on t_q = q/M, which every sampled operator reads;
-    * ``dirichlet``, the D(w(t_q) - p/N) the dense operators read;
-    * ``spread(index_set, negate)``, the ``_nufft`` spreading plan of the
-      points +-w(t_q) on a set, one per (points, set), which every
-      matrix-free applier call on the spec shares.
+    * ``dirichlet``, the D(w(t_q) - p/N) the dense operators read, real
+      on a symmetric input set;
+    * ``spread(index_set)``, the ``_nufft`` spreading plan of the points
+      w(t_q) on a set, one per set, which every matrix-free applier call
+      on the spec shares.
+
+    ``feasibility`` is not an argument: it is always
+    check_feasibility(self), formed here, so no caller can hand the
+    operators a report that vouches for another geometry.
     """
 
     warp: object
@@ -132,7 +138,7 @@ class DomainSpec:
     output_set: IndexSet
     mode: str = FREQUENCY_WARPING
     b: float = 0.5
-    feasibility: object = field(default=None, repr=False)
+    feasibility: FeasibilityReport = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (TIME_WARPING, FREQUENCY_WARPING):
@@ -141,8 +147,7 @@ class DomainSpec:
                                               and self.output_set.symmetric):
             raise ValueError("time-warping mode needs odd N, M with symmetric index sets")
         _resolve_b(self, self.b)
-        if self.feasibility is None:
-            object.__setattr__(self, "feasibility", check_feasibility(self))
+        object.__setattr__(self, "feasibility", check_feasibility(self))
 
     @property
     def N(self):
@@ -172,7 +177,7 @@ class DomainSpec:
 
     @cached_property
     def dirichlet(self):
-        """D(w(t_q) - p/N) of the input set, (M, N), read-only."""
+        """D(w(t_q) - p/N) of the input set, (M, N), read-only; real on a symmetric set."""
         p = np.arange(self.N) / self.N
         d = dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.input_set)
         d.flags.writeable = False
@@ -182,13 +187,11 @@ class DomainSpec:
     def _spreads(self):
         return {}
 
-    def spread(self, index_set, negate=False):
-        """The spreading plan of w(t_q), or of -w(t_q) when negate, on index_set."""
-        key = (index_set, negate)
-        if key not in self._spreads:
-            t = self.samples.values
-            self._spreads[key] = _nufft.spread(-t if negate else t, index_set)
-        return self._spreads[key]
+    def spread(self, index_set):
+        """The spreading plan of w(t_q) on index_set."""
+        if index_set not in self._spreads:
+            self._spreads[index_set] = _nufft.spread(self.samples.values, index_set)
+        return self._spreads[index_set]
 
     def require_map(self, warp):
         # feasibility vouches for self.warp only; `is`, as WarpMap == compares arrays

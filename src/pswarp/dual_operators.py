@@ -222,10 +222,11 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
 
     The conjugate-weight W_t times the frequency dual's correction
     factor taken to sample coordinates by the input-side DFT
-    conjugation (_to_time on the input set).  Exactly real, like the
-    forward interpolator.  A map with no jump gets no correction, so D is
-    the conjugate-weight W_t alone, as in dual_W_f: atan_tan_map() at
-    M = 2N + 1 gives ||D' W_t - I||_2 = 0.12 at N = 33, with no warning.
+    conjugation (_to_time on the input set), whose real part is taken:
+    real, float64, like the forward interpolator.  A map with no jump
+    gets no correction, so D is the conjugate-weight W_t alone, as in
+    dual_W_f: atan_tan_map() at M = 2N + 1 gives ||D' W_t - I||_2 = 0.12
+    at N = 33, with no warning.
     """
     _require_tw(spec)
     _require_swf_feasible(spec)
@@ -236,6 +237,6 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
         entries = base.entries
     else:
         factor = _to_time(dfact.correction_factor(), spec.input_set, spec.input_set)
-        entries = (base.entries @ factor).real.astype(np.complex128)
+        entries = base.entries @ factor.real
     return OperatorMatrix(kind="dual_time", b=dfact.b_dual, spec=spec,
                           entries=entries, correction=dfact)

@@ -276,13 +276,13 @@ def build_W_t(warp, spec: DomainSpec, b: float = None, *,
     Time-warping geometry only.  The time-domain twin of build_W_f:
     swf_time minus the band fold taken to sample coordinates by the
     same DFT conjugation that relates swf_time to swf_freq, so it equals
-    _to_time of the corrected frequency-domain operator.  Exactly real,
-    like the uncorrected interpolator.
+    _to_time of the corrected frequency-domain operator.  Real, float64,
+    like the uncorrected interpolator: the time twin of the band fold is
+    real up to roundoff, and its real part is taken.
     """
     base = swf.swf_time(warp, spec, b=b)
     b = base.b
     fact = _factorization(warp, spec, b, factorization)
-    entries = base.entries - _to_time(fact.band_fold, spec.output_set, spec.input_set)
+    fold = _to_time(fact.band_fold, spec.output_set, spec.input_set).real
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
-                          entries=entries.real.astype(np.complex128),
-                          correction=fact)
+                          entries=base.entries - fold, correction=fact)

@@ -10,7 +10,8 @@ extension of N input samples evaluated on the warped grid.  The dense
 operators are views of it:
 
 * ``swf_time``: X itself, time-warping geometry only.  The symmetric odd
-  domains of that mode make it exactly real, so real signals stay real.
+  domains of that mode make D, and so X, real: float64 entries, so real
+  signals stay real.
 * ``swf_freq``: its frequency-domain twin, entry (m, n) = (1/M) sum_q
   (Dw(t_q))^b e^{j2pi(m t_q - n w(t_q))}, which is the DFT conjugate
   conj(F_M X F_N^dagger) with F the unitary DFT of each index set, for
@@ -19,7 +20,7 @@ operators are views of it:
 * ``warped_dft``: the weighted nonuniform Fourier matrix, entry (k, m) =
   (Dw(t_m))^b e^{-j2pi k w(t_m)} / sqrt(M).
 * ``swf_time_invmap``: the same construction for the inverse map v on
-  the output band at v(p/N).
+  the output band at v(p/N), float64 as well.
 
 ``_to_time`` and ``_to_freq`` are the one change of coordinates between
 the two domains, A -> F_M^dagger conj(A) F_N and its inverse, done by
@@ -38,9 +39,12 @@ uniform stages through the same FFT pair.  They agree with the dense
 matrices to 1e-12 (tested up to M = 511) and are preferred when only
 products are needed.  The spreading plan, the points' cells, window
 values and phases, is b-free: the appliers on w take the spec's, one
-per (points, set) built on its first use (``spec.spread``), so repeated
-calls on a spec spread without evaluating the window again;
-``apply_swf_time_invmap`` samples v per call and plans it per call.
+per set built on its first use (``spec.spread``), so repeated calls on
+a spec spread without evaluating the window again.  A sum over
+e^{-2 pi j n w(t_q)} is the conjugate of the sum of the conjugate
+coefficients over e^{+2 pi j n w(t_q)}, so ``apply_swf_freq`` reads the
+same plan of w(t_q) as ``apply_swf_time``; ``apply_swf_time_invmap``
+samples v per call and plans it per call.
 """
 
 from dataclasses import dataclass
@@ -129,7 +133,10 @@ def _sampled_inverse(warp, spec, b, inverse):
 
 
 def _interpolator(warp, spec, b):
-    """(b, X), X the sampled interpolator of the module docstring, complex."""
+    """(b, X), X the sampled interpolator of the module docstring.
+
+    Real, float64, when the input set is symmetric, as spec.dirichlet is.
+    """
     b, _, wt = _sampled(warp, spec, b)
     return b, wt[:, None] * spec.dirichlet / np.sqrt(spec.M * spec.N)
 
@@ -210,12 +217,11 @@ def swf_time(warp, spec, b=None) -> OperatorMatrix:
     entry(q, p) = (Dw(q/M))^b D(w(q/M) - p/N) / sqrt(MN) with D the
     Dirichlet kernel of the input frequency set: the band-limited
     extension of the input samples evaluated on the warped output grid.
-    Equals F_M^dagger swf_freq^* F_N exactly.
+    Equals F_M^dagger swf_freq^* F_N exactly.  Real, float64.
     """
     _require_tw(spec)
     b, entries = _interpolator(warp, spec, b)
-    # exactly-zero imaginary part so real inputs map to real outputs
-    return OperatorMatrix("swf_time", b, spec, entries.real.astype(complex))
+    return OperatorMatrix("swf_time", b, spec, entries)
 
 
 def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
@@ -225,13 +231,13 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
     inverse warp and D the Dirichlet kernel of the output frequency set.
     Its transpose approximately inverts swf_time; the two are genuinely
     different matrices, so the product deviates from the identity by the
-    sampling (aliasing) error of either factor.
+    sampling (aliasing) error of either factor.  Real, float64.
     """
     b, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
     args = vv[None, :] - (np.arange(spec.M) / spec.M)[:, None]
     entries = vwt[None, :] * dirichlet_kernel(args, spec.output_set)
     entries /= np.sqrt(spec.M * spec.N)
-    return OperatorMatrix("swf_time_invmap", b, spec, entries.real.astype(complex))
+    return OperatorMatrix("swf_time_invmap", b, spec, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +255,9 @@ def apply_warped_dft(warp, spec, x, b=None):
 def apply_swf_freq(warp, spec, x, b=None):
     _, _, wt = _sampled(warp, spec, b)
     _require_vector(x, spec.N)
-    # inner: evaluate the input-band series at the warped grid points
-    g = _nufft.nufft_eval(spec.spread(spec.input_set, negate=True),
-                          np.asarray(x, dtype=complex))
-    out = _uniform_analysis(np.conj(wt * g), spec.output_set)
+    # inner: conj of the input-band series sum_n x_n e^{-2 pi j n w(t_q)}
+    g = _nufft.nufft_eval(spec.spread(spec.input_set), np.conj(x))
+    out = _uniform_analysis(wt * g, spec.output_set)
     return np.conj(out) / spec.M
 
 
@@ -269,8 +274,9 @@ def apply_swf_time(warp, spec, x, b=None):
 def apply_swf_time_invmap(warp, spec, x, b=None, inverse=None):
     _, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
     _require_vector(x, spec.N)
-    inner = _nufft.nufft_project(_nufft.spread(-vv, spec.output_set),
-                                 vwt * np.asarray(x, dtype=complex))
-    out = _uniform_synthesis(inner.conj(), spec.output_set).conj()
+    # conj of sum_p Dv_p^b x_p e^{+2 pi j k v_p}, from the plan of +v
+    inner = _nufft.nufft_project(_nufft.spread(vv, spec.output_set),
+                                 vwt * np.conj(x))
+    out = _uniform_synthesis(inner, spec.output_set).conj()
     out /= np.sqrt(spec.M * spec.N)
     return out.real if np.isrealobj(x) else out

@@ -167,6 +167,13 @@ class WarpMap:
         # breakpoint one-sided slopes can exceed every interior grid value
         for xi in self.breakpoints:
             dw = np.append(dw, [self.side_jets(xi, 1, "left")[1], self.side_jets(xi, 1, "right")[1]])
+        # a polynomial piece's slope extrema inside it sit at the real
+        # roots of D^2 w, which the grid can straddle
+        for p in self.pieces:
+            if p.kind == "poly" and len(p.data) > 3:
+                t = np.polynomial.Polynomial(p.data).deriv(2).roots()
+                t = t.real[(t.imag == 0) & (t.real > 0) & (t.real < p.hi - p.lo)]
+                dw = np.append(dw, p.jets(p.lo + t, 1)[1])
         self.min_dw = float(dw.min())
         self.max_dw = float(dw.max())
         if self.min_dw <= 0:

@@ -199,3 +199,20 @@ def test_describe_round_trips_key_fields():
     assert d["b"] == 0.25
     assert d["mode"] == di.FREQUENCY_WARPING
     assert d["feasible_swf"] is True
+
+
+def test_feasibility_is_not_an_argument():
+    w = wm.exponential_map()
+    good = di.domain_spec(w, 33, 67).feasibility
+    s = di.make_index_set(33, 16)
+    with pytest.raises(TypeError):
+        di.DomainSpec(w, s, di.make_index_set(35, 17), feasibility=good)
+
+
+@pytest.mark.parametrize("name", sorted(wm.BUILTIN_MAPS))
+@pytest.mark.parametrize("N,M,L_N,L_M", [(9, 19, 4, 9), (33, 67, 16, 33), (33, 35, 16, 17),
+                                         (32, 67, 10, 40), (33, 67, 4, 10)])
+def test_every_spec_carries_its_own_feasibility(name, N, M, L_N, L_M):
+    w = wm.builtin_map(name)
+    sp = di.domain_spec(w, N, M, L_N=L_N, L_M=L_M)
+    assert sp.feasibility == di.check_feasibility(sp)

@@ -31,6 +31,7 @@ from pswarp.warp_map import (
     exponential_map,
     identity_map,
     piecewise_linear_map,
+    spline_map,
 )
 
 
@@ -504,3 +505,74 @@ def test_one_time_warping_spec_forms_the_dirichlet_matrix_once(monkeypatch):
     build_W_t(w, spec, 0.3)
     swf.swf_time(w, spec, 0.3)
     assert shapes == [(67, 33)]
+
+
+# ---------------------------------------------------------------------------
+# realness as a dtype: the time-warping kinds are float64
+
+
+REAL_KINDS = {"swf_time", "swf_time_invmap", "saf_time", "dual_time"}
+
+
+def test_time_kinds_are_float64_and_frequency_kinds_complex():
+    w, spec = _exp_time()
+    ops = [swf.warped_dft(w, spec), swf.swf_freq(w, spec), swf.swf_time(w, spec),
+           swf.swf_time_invmap(w, spec), build_W_f(w, spec), build_W_t(w, spec),
+           dual_W_f(w, spec), dual_W_t(w, spec)]
+    assert {op.kind for op in ops} == REAL_KINDS | {"warped_dft", "swf_freq",
+                                                   "saf_freq", "dual_freq"}
+    for op in ops:
+        assert op.entries.dtype == (np.float64 if op.kind in REAL_KINDS
+                                    else np.complex128), op.kind
+
+
+# the built-in maps with jumps; at these (map, N) the dual series diverges
+# at M = 2N + 1, so only the forward kinds are compared there
+JUMP_MAPS = {"exponential": exponential_map, "piecewise_linear": piecewise_linear_map,
+             "spline": spline_map, "cubic_seam": cubic_seam_map}
+NO_DUAL = {("spline", 9), ("cubic_seam", 9), ("cubic_seam", 33)}
+
+
+def _assert_within_ulps(got, ref, ulps):
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= ulps * np.spacing(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("N", [9, 33, 129])
+@pytest.mark.parametrize("name", sorted(JUMP_MAPS))
+def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
+    w = JUMP_MAPS[name]()
+    M = 2 * N + 1
+    spec = domain_spec(w, N, M, b=b, mode=TIME_WARPING)
+    scale = np.sqrt(M * N)
+
+    def interpolator(b):
+        # (Dw(t_q))^b D(w(t_q) - p/N) / sqrt(MN) with a complex D
+        return spec.samples.weight(b)[:, None] * spec.dirichlet.astype(complex) / scale
+
+    def corrected(b, fact):
+        return interpolator(b) - swf._to_time(fact.band_fold, spec.output_set, spec.input_set)
+
+    _assert_within_ulps(swf.swf_time(w, spec).entries, interpolator(b).real, 2)
+    v = w.inverse().sample(np.arange(N) / N)
+    args = v.values[None, :] - (np.arange(M) / M)[:, None]
+    ref = v.weight(b)[None, :] * di.dirichlet_kernel(args, spec.output_set).astype(complex)
+    _assert_within_ulps(swf.swf_time_invmap(w, spec).entries, (ref / scale).real, 2)
+    with warnings.catch_warnings():
+        # the truncation warning speaks to the correction's accuracy, not its dtype
+        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
+        Wt = build_W_t(w, spec)
+        _assert_within_ulps(Wt.entries, corrected(b, Wt.correction).real, 2)
+        if (name, N) in NO_DUAL:
+            return
+        D = dual_W_t(w, spec)
+    dfact = D.correction
+    factor = swf._to_time(dfact.correction_factor(), spec.input_set, spec.input_set)
+    base = corrected(dfact.b_dual, dfact.fact_dual)
+    ref = (base @ factor).real
+    # a real and a complex matrix product sum in different orders: the two
+    # agree to the rounding bound of an N-term dot product, not to 2 ulp
+    assert D.entries.dtype == np.float64
+    bound = N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
+    assert np.all(np.abs(D.entries - ref) <= bound)

@@ -263,3 +263,37 @@ def test_builtin_registry():
     }
     w = wm.builtin_map("exponential")
     assert w.eval(1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def _grid_slope_range(w):
+    """The 4096-point grid plus both sides of each breakpoint."""
+    dw = [w.deriv1(np.arange(4096) / 4096)]
+    for xi in w.breakpoints:
+        dw.append([w.side_jets(xi, 1, side)[1] for side in ("left", "right")])
+    dw = np.concatenate(dw)
+    return float(dw.min()), float(dw.max())
+
+
+def test_spline_slope_range_holds_between_grid_points():
+    w = MAPS["spline"]
+    dw = w.deriv1(np.arange(2**20) / 2**20)
+    assert w.min_dw <= dw.min() and w.max_dw >= dw.max()
+    # the 4096-point grid alone reads max Dw 1e-7 low
+    assert w.max_dw > _grid_slope_range(w)[1]
+
+
+def test_slope_dip_between_grid_points_is_refused():
+    # Dw = c (t - t0)^2 - eps with t0 midway between two grid points: the
+    # grid reads Dw >= 1e-7, its minimum is -eps
+    t0, eps = 1228.5 / 4096, 2e-8
+    c = 3 * (1 + eps) / ((1 - t0) ** 3 + t0**3)  # so that w(1) = 1
+    coeffs = (0.0, c * t0**2 - eps, -c * t0, c / 3)
+    assert np.polynomial.Polynomial(coeffs).deriv()(np.arange(4096) / 4096).min() > 0
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        wm.WarpMap([wm.Piece(0.0, 1.0, "poly", coeffs)], {"type": "cubic"})
+
+
+@pytest.mark.parametrize("name", sorted(set(MAPS) - {"spline"}))
+def test_slope_range_of_the_other_maps_is_the_grid_range(name):
+    w = MAPS[name]
+    assert (w.min_dw, w.max_dw) == _grid_slope_range(w)

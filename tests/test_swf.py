@@ -514,3 +514,32 @@ def test_appliers_share_the_spec_plan_and_match_a_fresh_spec(monkeypatch):
         swf.apply_swf_freq(w, spec, X[:, 0])
         swf.apply_warped_dft(w, spec, np.ones(67))
     assert len(calls) == 2
+
+
+def test_time_and_frequency_appliers_share_one_plan_of_the_warped_grid(monkeypatch):
+    # apply_swf_freq evaluates conj(x) on the plan of w(t_q) that
+    # apply_swf_time reads, so a spec plans its input set once for both
+    calls = []
+    window = _nufft._window
+    monkeypatch.setattr(_nufft, "_window",
+                        lambda *args: calls.append(1) or window(*args))
+    w = wm.exponential_map()
+    spec = tw_spec(w, 33, 67)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=33) + 1j * rng.normal(size=33)
+    got_t = swf.apply_swf_time(w, spec, x)
+    got_f = swf.apply_swf_freq(w, spec, x)
+    assert len(calls) == 1
+    dense_t = swf.swf_time(w, spec).entries @ x
+    dense_f = swf.swf_freq(w, spec).entries @ x
+    assert np.max(np.abs(got_t - dense_t)) < 1e-12 * np.max(np.abs(dense_t))
+    assert np.max(np.abs(got_f - dense_f)) < 1e-12 * np.max(np.abs(dense_f))
+
+
+def test_dirichlet_kernel_is_real_on_a_symmetric_set():
+    x = np.linspace(-1.5, 1.5, 41)
+    sym = di.symmetric_index_set(9)
+    assert swf.dirichlet_kernel(x, sym).dtype == np.float64
+    assert swf.dirichlet_kernel(x, di.make_index_set(9, 2)).dtype == np.complex128
+    # the even balanced set keeps its unmatched -N/2 element
+    assert swf.dirichlet_kernel(x, di.symmetric_index_set(8)).dtype == np.complex128
