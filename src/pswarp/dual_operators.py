@@ -22,7 +22,7 @@ from . import _lattice as lat
 from . import saf_operators as saf
 from .domain_indexing import DomainSpec, _resolve_b
 from .saf_operators import TailFactorization
-from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _to_time
+from .swf_operators import OperatorMatrix, _require_swf_feasible, _require_tw, _to_time_product
 
 __all__ = [
     "DualFactorization",
@@ -30,21 +30,8 @@ __all__ = [
     "compute_Z",
     "dual_W_f",
     "dual_W_t",
-    "stacked_blocks",
     "tail_row_gram",
 ]
-
-
-def stacked_blocks(fact: TailFactorization) -> np.ndarray:
-    """Stack the per-jump correction blocks S_i V Q_i into one matrix.
-
-    Rows group by jump, expansion order fastest; columns follow the
-    input index set.  The out-of-band tail of the corrected operator is
-    (phased inverse-power rows) @ (this matrix).
-    """
-    if not fact.pieces:
-        return np.zeros((0, fact.spec.N), dtype=np.complex128)
-    return np.vstack([pc.block for pc in fact.pieces])
 
 
 def tail_row_gram(fact: TailFactorization) -> np.ndarray:
@@ -143,30 +130,28 @@ def compute_Z(H: np.ndarray, G: np.ndarray,
 class DualFactorization:
     """Compressed correction data for an analytically inverted operator.
 
-    H and H_dual stack the correction blocks of the inverted exponent b
-    and its conjugate 1 - b over a shared row basis; G is the exact
-    Gram of that basis over the out-of-band indices; Z resums the
-    resulting Neumann series.  The dual correction factor applied to
-    the conjugate-weight operator is I + H' Z H_dual.
+    H and H_dual, read from fact and fact_dual, stack the correction
+    blocks of the inverted exponent b and its conjugate 1 - b over a
+    shared row basis; G is the exact Gram of that basis over the
+    out-of-band indices; Z resums the resulting Neumann series.  The
+    dual correction factor applied to the conjugate-weight operator is
+    I + H' Z H_dual: the identity plus a rank-J R product.
     """
 
     b: float
     b_dual: float
-    H: np.ndarray
-    H_dual: np.ndarray
     G: np.ndarray
     Z: np.ndarray
     spectral_radius: float
     fact: TailFactorization
     fact_dual: TailFactorization
 
+    H = property(lambda self: self.fact.H)
+    H_dual = property(lambda self: self.fact_dual.H)
+
     def correction_factor(self) -> np.ndarray:
-        """I + H' Z H_dual, the exact-pairing correction on the input side."""
-        N = self.fact.spec.N
-        eye = np.eye(N, dtype=np.complex128)
-        if self.H.size == 0:
-            return eye
-        return eye + self.H.conj().T @ self.Z @ self.H_dual
+        """I + H' Z H_dual, the dense N x N exact-pairing correction that dual_W_f applies."""
+        return np.eye(self.fact.spec.N) + self.H.conj().T @ self.Z @ self.H_dual
 
 
 def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
@@ -185,13 +170,10 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     b_dual = 1.0 - b
     fact = saf._factorization(warp, spec, b, fact)
     fact_dual = saf._reweighted_factorization(warp, fact, b_dual)
-    H = stacked_blocks(fact)
-    H_dual = stacked_blocks(fact_dual)
     G = tail_row_gram(fact)
-    radius = _spectral_radius(H, G, H_dual)
-    Z = compute_Z(H, G, H_dual, radius=radius)
-    return DualFactorization(b=b, b_dual=b_dual, H=H, H_dual=H_dual,
-                             G=G, Z=Z, spectral_radius=radius,
+    radius = _spectral_radius(fact.H, G, fact_dual.H)
+    Z = compute_Z(fact.H, G, fact_dual.H, radius=radius)
+    return DualFactorization(b=b, b_dual=b_dual, G=G, Z=Z, spectral_radius=radius,
                              fact=fact, fact_dual=fact_dual)
 
 
@@ -209,12 +191,9 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     dfact = build_dual_factorization(warp, spec, b)
     base = saf.build_W_f(warp, spec, b=dfact.b_dual,
                          factorization=dfact.fact_dual)
-    if dfact.H.size == 0:
-        entries = base.entries
-    else:
-        entries = base.entries @ dfact.correction_factor()
     return OperatorMatrix(kind="dual_freq", b=dfact.b_dual, spec=spec,
-                          entries=entries, correction=dfact)
+                          entries=base.entries @ dfact.correction_factor(),
+                          correction=dfact)
 
 
 def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
@@ -222,21 +201,19 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
 
     The conjugate-weight W_t times the frequency dual's correction
     factor taken to sample coordinates by the input-side DFT
-    conjugation (_to_time on the input set), whose real part is taken:
+    conjugation.  The identity is its own twin; the rank-J R rest
+    crosses as its factors H' and Z H_dual, and its real part is taken:
     real, float64, like the forward interpolator.  A map with no jump
-    gets no correction, so D is the conjugate-weight W_t alone, as in
-    dual_W_f: atan_tan_map() at M = 2N + 1 gives ||D' W_t - I||_2 = 0.12
-    at N = 33, with no warning.
+    gets no correction, as in dual_W_f (atan_tan_map() at M = 2N + 1:
+    ||D' W_t - I||_2 = 0.12 at N = 33, with no warning).
     """
     _require_tw(spec)
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)
     base = saf.build_W_t(warp, spec, b=dfact.b_dual,
                          factorization=dfact.fact_dual)
-    if dfact.H.size == 0:
-        entries = base.entries
-    else:
-        factor = _to_time(dfact.correction_factor(), spec.input_set, spec.input_set)
-        entries = base.entries @ factor.real
+    rest = _to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                            spec.input_set, spec.input_set)
+    entries = base.entries @ (np.eye(spec.N) + rest.real)
     return OperatorMatrix(kind="dual_time", b=dfact.b_dual, spec=spec,
                           entries=entries, correction=dfact)

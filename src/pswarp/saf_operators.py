@@ -6,10 +6,11 @@ band.  The tail rows factor through a small per-jump kernel: inverse
 powers of the row index, polynomial moments of the column index, and a
 boundary phase on each side.  Folding inverse powers over the row
 lattice has a closed form (derivatives of the periodized simple pole),
-so the aliasing inherits the same factorization and can be subtracted
-entry by entry.  build_W_f and build_W_t return the corrected frequency-
-and time-domain operators; the factorization rides along on the result
-for error analysis.
+so the aliasing inherits the same factorization, a rank-J R product of
+thin factors (J jumps, R orders).  build_W_f subtracts the product;
+build_W_t crosses the factors to the sample grids and subtracts theirs,
+so no M x N matrix is transformed.  The factorization rides along on
+the result for error analysis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import swf_operators as swf
 from . import symbolic_kernel as sk
 from ._lattice import lattice_tail_values
 from .domain_indexing import DomainSpec
-from .swf_operators import OperatorMatrix, _to_time
+from .swf_operators import OperatorMatrix, _to_time_product
 from .warp_map import _coincides
 
 
@@ -102,15 +103,22 @@ class JumpCorrection:
     lattice_aligned: bool  # xi on the output sample lattice, so the twist is 0
     p_band: np.ndarray
     q: np.ndarray
-    block: np.ndarray  # (R, N) S V diag(q): what every tail product reads
+    block: np.ndarray  # (R, N) S V diag(q), a row slice of the factorization's H
 
 
 @dataclass(frozen=True)
 class TailFactorization:
+    """The tail's band fold as thin factors: row_factor() @ H, rank J R.
+
+    H (J R, N) stacks the jumps' blocks S V diag(q), order fastest; each
+    piece's block is a view of its rows.
+    """
+
     spec: DomainSpec
     b: float
     rows: int
     V: np.ndarray  # build_bases(spec, rows)
+    H: np.ndarray
     pieces: tuple
     kernel_tol: float
 
@@ -135,13 +143,18 @@ class TailFactorization:
             out += p_tail[:, None] * (Y @ pc.block)
         return out
 
-    @cached_property
-    def band_fold(self) -> np.ndarray:
-        """Closed-form aliasing: the tail rows folded onto the band."""
-        out = np.zeros((self.spec.M, self.spec.N), dtype=np.complex128)
-        for pc in self.pieces:
-            out += pc.p_band[:, None] * (pc.U @ pc.block)
+    def row_factor(self) -> np.ndarray:
+        """[diag(p_band) U] of every jump side by side: (M, J R), made per call."""
+        R = self.rows
+        out = np.empty((self.spec.M, self.H.shape[0]), dtype=np.complex128)
+        for i, pc in enumerate(self.pieces):
+            out[:, i * R:(i + 1) * R] = pc.p_band[:, None] * pc.U
         return out
+
+    @property
+    def band_fold(self) -> np.ndarray:
+        """Closed-form aliasing, the tail rows folded onto the band: M x N, made per read."""
+        return self.row_factor() @ self.H
 
 
 def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
@@ -180,26 +193,27 @@ def _fold_twist(M: int, xi: float) -> float:
 
 def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
               kernel_tol: float) -> TailFactorization:
-    """One JumpCorrection per kernel of bundle, its block S V diag(q) formed here.
+    """One JumpCorrection per kernel of bundle, its block S V diag(q) formed in H.
 
     folds maps a twist to its row fold and gains each fold made here.
     The growth profile is each order's largest |block| entry: |q| = 1,
     so it is the order's peak contribution.
     """
-    M = spec.M
+    M, R = spec.M, bundle.rows
     ms = np.asarray(spec.output_set.indices, dtype=np.int64)
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
 
+    H = np.empty((len(bundle.kernels) * R, spec.N), dtype=np.complex128)
     pieces = []
     worst_profile = 0.0
     floor = math.inf
-    for ker in bundle.kernels:
+    for i, ker in enumerate(bundle.kernels):
         twist = _fold_twist(M, ker.xi)
         if twist not in folds:
-            folds[twist] = _row_fold(spec, bundle.rows, twist)
+            folds[twist] = _row_fold(spec, R, twist)
         U = folds[twist]
         q = np.exp(-2j * np.pi * ns * ker.image)
-        block = ker.S @ V * q
+        block = np.multiply(ker.S @ V, q, out=H[i * R:(i + 1) * R])
         profile = np.abs(block).max(axis=1)
         positive = profile[profile > 0]
         if positive.size:
@@ -229,8 +243,9 @@ def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
     return TailFactorization(
         spec=spec,
         b=b,
-        rows=bundle.rows,
+        rows=R,
         V=V,
+        H=H,
         pieces=tuple(pieces),
         kernel_tol=float(kernel_tol),
     )
@@ -275,14 +290,15 @@ def build_W_t(warp, spec: DomainSpec, b: float = None, *,
 
     Time-warping geometry only.  The time-domain twin of build_W_f:
     swf_time minus the band fold taken to sample coordinates by the
-    same DFT conjugation that relates swf_time to swf_freq, so it equals
-    _to_time of the corrected frequency-domain operator.  Real, float64,
+    same DFT conjugation that relates swf_time to swf_freq.  The fold
+    crosses in factored form, its row factor over the output set and H
+    over the input set, and only their product is M x N.  Real, float64,
     like the uncorrected interpolator: the time twin of the band fold is
     real up to roundoff, and its real part is taken.
     """
     base = swf.swf_time(warp, spec, b=b)
     b = base.b
     fact = _factorization(warp, spec, b, factorization)
-    fold = _to_time(fact.band_fold, spec.output_set, spec.input_set).real
+    fold = _to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
-                          entries=base.entries - fold, correction=fact)
+                          entries=base.entries - fold.real, correction=fact)

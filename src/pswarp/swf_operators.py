@@ -22,10 +22,11 @@ operators are views of it:
 * ``swf_time_invmap``: the same construction for the inverse map v on
   the output band at v(p/N), float64 as well.
 
-``_to_time`` and ``_to_freq`` are the one change of coordinates between
-the two domains, A -> F_M^dagger conj(A) F_N and its inverse, done by
-the FFT pair the appliers use; the corrected operators and their duals
-cross over through them too.
+``_to_time`` and ``_to_freq`` are the change of coordinates between the
+two domains, A -> F_M^dagger conj(A) F_N and its inverse, by the FFT pair
+the appliers use.  The corrections and their duals' factors are rank-J R
+products L R (J jumps, R orders): ``_to_time_product`` crosses L and R one
+at a time, and the dense ``_to_time`` is left to the tests as referee.
 
 The spec samples its map once and every operator reads ``spec.samples``:
 its weight, ``samples.weight(b)``, takes the mean of the one-sided values
@@ -56,7 +57,6 @@ from .domain_indexing import TIME_WARPING, DomainSpec, _resolve_b, dirichlet_ker
 
 __all__ = [
     "OperatorMatrix",
-    "dirichlet_kernel",
     "warped_dft",
     "swf_freq",
     "swf_time",
@@ -170,10 +170,16 @@ def _to_time(A, rows, cols):
     """F_rows^dagger conj(A) F_cols, F the unitary DFT of an index set.
 
     Takes A, indexed by the sets rows x cols, to its twin on the sample
-    grids of the same sizes.
+    grids of the same sizes; the tests' dense referee of _to_time_product.
     """
     half = np.conj(_uniform_synthesis(A, cols, axis=1))
     return _uniform_synthesis(half, rows, axis=0) / np.sqrt(rows.N * cols.N)
+
+
+def _to_time_product(L, R, rows, cols):
+    """_to_time(L @ R) as (F_rows^dagger conj L)(conj R F_cols): thin transforms only."""
+    left = _uniform_synthesis(np.conj(L), rows, axis=0) / np.sqrt(rows.N * cols.N)
+    return left @ np.conj(_uniform_synthesis(R, cols, axis=1))
 
 
 def _to_freq(B, rows, cols):

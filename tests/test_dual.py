@@ -15,10 +15,10 @@ from pswarp.dual_operators import (
     compute_Z,
     dual_W_f,
     dual_W_t,
-    stacked_blocks,
     tail_row_gram,
 )
 from pswarp import _lattice as lat
+from pswarp import dual_operators
 from pswarp import saf_operators as saf
 from pswarp.saf_operators import (
     build_factorization,
@@ -83,7 +83,7 @@ def _neumann_sandwich(dfact, terms):
 def test_gram_hermitian_and_matches_windowed_sums():
     w, spec = _exp_freq()
     fact = build_factorization(w, spec, 0.5)
-    H = stacked_blocks(fact)
+    H = fact.H
     G = tail_row_gram(fact)
     assert np.max(np.abs(G - G.conj().T)) < 1e-10
     # analytic complement sums against brute windows, extrapolated; the
@@ -100,7 +100,7 @@ def test_gram_multi_singularity_cross_phases():
     # three jumps with fractional offsets populate every off-diagonal block
     w, spec = _pl_freq()
     fact = build_factorization(w, spec, 0.5)
-    H = stacked_blocks(fact)
+    H = fact.H
     G = tail_row_gram(fact)
     assert np.max(np.abs(G - G.conj().T)) < 1e-10
     levels = []
@@ -206,7 +206,7 @@ def test_conjugate_factorization_reuses_the_folds():
         assert pd.U is pc.U
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
-    assert np.array_equal(stacked_blocks(fresh), dfact.H_dual)
+    assert np.array_equal(fresh.H, dfact.H_dual)
 
 
 def test_fresh_specs_share_the_aligned_fold_and_a_bit_identical_gram():
@@ -232,12 +232,13 @@ def test_dual_keeps_the_factorization_kernel_tol():
 def test_stacked_blocks_are_the_pieces_blocks():
     w, spec = _pl_freq()
     fact = build_factorization(w, spec, 0.3)
-    H = stacked_blocks(fact)
+    H = fact.H
     R = fact.rows
     assert H.shape == (len(fact.pieces) * R, spec.N)
     for i, pc in enumerate(fact.pieces):
         assert np.array_equal(pc.block, pc.S @ fact.V * pc.q)
         assert np.array_equal(H[i * R:(i + 1) * R], pc.block)
+        assert np.shares_memory(pc.block, H)
 
 
 def test_dual_build_computes_the_radius_once(monkeypatch):
@@ -404,7 +405,8 @@ def test_dual_freq_identity_map_is_forward_operator():
     assert np.array_equal(D.entries, Wf.entries)
 
 
-@pytest.mark.xfail(strict=True, reason="a smooth map gets no correction: "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a smooth map gets no correction: "
                    "atan_tan at M = 2N + 1 pairs to 0.12, unreported")
 def test_dual_freq_smooth_map_near_the_redundancy_edge():
     # atan_tan_map() has no jump, so dual_W_f returns W_f itself; max Dw = 2
@@ -552,7 +554,9 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
         return spec.samples.weight(b)[:, None] * spec.dirichlet.astype(complex) / scale
 
     def corrected(b, fact):
-        return interpolator(b) - swf._to_time(fact.band_fold, spec.output_set, spec.input_set)
+        # the fold crossed as its two factors, the product left complex
+        fold = swf._to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+        return interpolator(b) - fold
 
     _assert_within_ulps(swf.swf_time(w, spec).entries, interpolator(b).real, 2)
     v = w.inverse().sample(np.arange(N) / N)
@@ -568,7 +572,8 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
             return
         D = dual_W_t(w, spec)
     dfact = D.correction
-    factor = swf._to_time(dfact.correction_factor(), spec.input_set, spec.input_set)
+    factor = np.eye(N) + swf._to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                                              spec.input_set, spec.input_set)
     base = corrected(dfact.b_dual, dfact.fact_dual)
     ref = (base @ factor).real
     # a real and a complex matrix product sum in different orders: the two
@@ -576,3 +581,67 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
     assert D.entries.dtype == np.float64
     bound = N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
     assert np.all(np.abs(D.entries - ref) <= bound)
+
+
+# ---------------------------------------------------------------------------
+# the corrections cross domains as thin factors
+
+
+def _assert_crossing_matches_dense(L, R, rows, cols):
+    # the two crossings round differently; n is the length of the FFTs
+    # down L's columns: M for the band fold, N for the dual factor
+    n = rows.N
+    got = swf._to_time_product(L, R, rows, cols)
+    ref = swf._to_time(L @ R, rows, cols)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - ref)) <= 2 * eps * np.log2(n) * np.max(np.abs(ref))
+
+
+def _assert_factors_cross_like_the_dense_products(dfact):
+    fact, spec = dfact.fact, dfact.fact.spec
+    _assert_crossing_matches_dense(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+    _assert_crossing_matches_dense(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                                   spec.input_set, spec.input_set)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("N", [9, 33, 129, 513])
+@pytest.mark.parametrize("name", sorted(JUMP_MAPS))
+def test_factored_crossing_matches_the_dense_crossing(name, N, b):
+    # the band fold (n = M) and the dual factor's rank-J R part (n = N)
+    w = JUMP_MAPS[name]()
+    spec = domain_spec(w, N, 2 * N + 1, b=b, mode=TIME_WARPING)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
+        fact = build_factorization(w, spec, b)
+        if (name, N) in NO_DUAL:
+            _assert_crossing_matches_dense(fact.row_factor(), fact.H,
+                                           spec.output_set, spec.input_set)
+            return
+        dfact = build_dual_factorization(w, spec, fact=fact)
+    _assert_factors_cross_like_the_dense_products(dfact)
+
+
+def test_factored_crossing_matches_the_dense_crossing_on_skewed_sets():
+    # neither set centred, three jumps of which two fold twisted
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.27, 0.66])
+    spec = domain_spec(w, 33, 89, L_N=10, L_M=40, b=0.5)
+    _assert_factors_cross_like_the_dense_products(build_dual_factorization(w, spec))
+
+
+@pytest.mark.parametrize("name", ["exponential", "piecewise_linear"])
+def test_time_builds_form_no_dense_crossing(monkeypatch, name):
+    w = JUMP_MAPS[name]()
+    spec = domain_spec(w, 33, 67, b=0.5, mode=TIME_WARPING)
+
+    def refuse(*args):
+        raise AssertionError("a time-domain build formed a dense M x N correction")
+
+    # wherever the dense crossing is reachable from, including a name import
+    for module in (swf, saf, dual_operators):
+        if hasattr(module, "_to_time"):
+            monkeypatch.setattr(module, "_to_time", refuse)
+    monkeypatch.setattr(saf.TailFactorization, "band_fold", property(refuse))
+    D = dual_W_t(w, spec)
+    Wt = build_W_t(w, spec, factorization=D.correction.fact)
+    assert Wt.deviation_from_identity(D) < 1e-9
