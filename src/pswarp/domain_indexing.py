@@ -27,6 +27,8 @@ __all__ = [
     "IndexSet",
     "dirichlet_kernel",
     "DomainSpec",
+    "SampledGrid",
+    "sampled_grid",
     "FeasibilityReport",
     "make_index_set",
     "symmetric_index_set",
@@ -115,18 +117,72 @@ def _resolve_b(spec, b):
     return b
 
 
+# sampled grids each map keeps (sampled_grid), least recently used dropped first
+GRID_RECORDS = 4
+
+
+@dataclass(frozen=True, eq=False)
+class SampledGrid:
+    """A map's b-free record on the grid j/size, for one Dirichlet set.
+
+    * ``samples``, the map on j/size (warp_map.Samples);
+    * ``dirichlet``, D(v_j - p/K) of kernel_set, K = kernel_set.N, a
+      (size, K) matrix made on first read, real on a symmetric set;
+    * ``spread(index_set)``, the ``_nufft`` spreading plan of the values
+      v_j on a set, one per set, made on first use.
+
+    Every array is read-only.  A record holds arrays and plans only,
+    never a spec, so the specs of one map and geometry share it whatever
+    their b.
+    """
+
+    samples: object
+    kernel_set: IndexSet
+    _spreads: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def dirichlet(self):
+        p = np.arange(self.kernel_set.N) / self.kernel_set.N
+        d = dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.kernel_set)
+        d.flags.writeable = False
+        return d
+
+    def spread(self, index_set):
+        if index_set not in self._spreads:
+            self._spreads[index_set] = _nufft.spread(self.samples.values, index_set)
+        return self._spreads[index_set]
+
+
+def sampled_grid(m, size, kernel_set) -> SampledGrid:
+    """m's SampledGrid on j/size for kernel_set, from m's own LRU.
+
+    m is a WarpMap or an InverseMap.  The records live on the map object,
+    so they are keyed by its identity (WarpMap == compares arrays), and
+    a map keeps at most GRID_RECORDS of them.
+    """
+    grids, key = m._grids, (size, kernel_set)
+    if key in grids:
+        grids.move_to_end(key)
+        return grids[key]
+    s = m.sample(np.arange(size) / size)
+    for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits)):
+        a.flags.writeable = False
+    grids[key] = SampledGrid(s, kernel_set)
+    if len(grids) > GRID_RECORDS:
+        grids.popitem(last=False)
+    return grids[key]
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """A map bound to its index sets, mode and default b; frozen, sampled once.
+    """A map bound to its index sets, mode and default b; frozen.
 
-    Three b-free records form once, on first use, and are read-only:
-
-    * ``samples``, the map on t_q = q/M, which every sampled operator reads;
-    * ``dirichlet``, the D(w(t_q) - p/N) the dense operators read, real
-      on a symmetric input set;
-    * ``spread(index_set)``, the ``_nufft`` spreading plan of the points
-      w(t_q) on a set, one per set, which every matrix-free applier call
-      on the spec shares.
+    Its b-free records are formed once per map and geometry, not per
+    spec: ``samples`` (the map on t_q = q/M), ``dirichlet``
+    (D(w(t_q) - p/N) of the input set) and ``spread(index_set)`` (the
+    spreading plan of w(t_q) on a set) all read the map's SampledGrid of
+    (M, input set), which every spec of that map and geometry shares,
+    whatever its b.
 
     ``feasibility`` is not an argument: it is always
     check_feasibility(self), formed here, so no caller can hand the
@@ -168,30 +224,23 @@ class DomainSpec:
         return 0.5 * self.N * (1.0 + self.input_set.mu)
 
     @cached_property
+    def grid(self):
+        """The map's SampledGrid of (M, input set)."""
+        return sampled_grid(self.warp, self.M, self.input_set)
+
+    @property
     def samples(self):
         """w(t_q), Dw(t_q) and the slope-jump hits (warp_map.Samples), read-only."""
-        s = self.warp.sample(np.arange(self.M) / self.M)
-        for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits)):
-            a.flags.writeable = False
-        return s
+        return self.grid.samples
 
-    @cached_property
+    @property
     def dirichlet(self):
         """D(w(t_q) - p/N) of the input set, (M, N), read-only; real on a symmetric set."""
-        p = np.arange(self.N) / self.N
-        d = dirichlet_kernel(self.samples.values[:, None] - p[None, :], self.input_set)
-        d.flags.writeable = False
-        return d
-
-    @cached_property
-    def _spreads(self):
-        return {}
+        return self.grid.dirichlet
 
     def spread(self, index_set):
         """The spreading plan of w(t_q) on index_set."""
-        if index_set not in self._spreads:
-            self._spreads[index_set] = _nufft.spread(self.samples.values, index_set)
-        return self._spreads[index_set]
+        return self.grid.spread(index_set)
 
     def require_map(self, warp):
         # feasibility vouches for self.warp only; `is`, as WarpMap == compares arrays

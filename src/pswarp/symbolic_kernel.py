@@ -19,28 +19,27 @@ gamma_tables holds it in one exact form, built directly in integers: per
 level one common denominator and per sequence an integer coefficient
 array in (b, k).
 
-Numeric callers need the k coefficients at a float b, correctly rounded,
-and then evaluate the k polynomials in floats.  The collapse at b is one
-batched pass over every level in use (_collapse_levels): each nonzero
-coefficient num / den is stored once as a double-double hi + lo, and a
-compensated Horner scheme in b (TwoProd by Dekker's split, TwoSum) leaves
-each k coefficient unevaluated as s + c, within a rigorous bound
-E = 2 (2n + 2)^2 u^2 p~(|b|) plus an underflow term, n the b degree and
-p~ the Horner sum of |hi|.  A cell is taken as y = fl(s + c) when the
-residual of that sum plus E stays below half the smaller ulp gap next to
-y, which makes y the correctly rounded value; the rest (about 0.07% of
-the cells at a random b, mostly exact zeros and near-ties) take the exact
-integer sum, as _collapse_b does for a whole level.  So every k
-coefficient is the exact collapse's float, bit for bit.  The k
-polynomials of all those levels then run one Horner in k.
+Numerically the table is contracted against the map before any b is
+chosen.  beta_{l,n} = Dw^b beta~_{l,n}, where beta~_{l,n} = Dw^shift
+prod D^m w carries no b, so on every one-sided jet row
 
-The betas of one level come as one table over a stack of jet rows
-(_beta_table): Dw^(b + shift) once per row and distinct shift, then one
-product per part column, with short sequences padded by an exact 1.0, so
-every entry is the scalar definition's float.  A level whose betas are all
-exactly 0 contributes nothing to any jump, and build_kernel leaves it out
-of the collapse: a piecewise-linear map, whose jets past Dw all vanish,
-collapses level 0 only.
+    alpha_{k,l} = Dw^b sum_i b^i sum_m C_{l,i,m} binom(k, m),
+    C_{l,i,m} = sum_n beta~_{l,n} c_{l,n,i,m},
+
+with c the table over binomials in k in place of powers (its Newton
+form, exact in integers, then rounded once per entry: GammaLevel.ratio).
+That is one float matmul per level (_contract), and each C entry is
+within about n u (|beta~| @ |c|) of its exact value, u = 2^-53 and n the
+level's sequence count.  A new b then costs one Horner pass in b and one
+in k over all levels stacked (_evaluate).  The binomial basis keeps the
+integer roots of gamma exact (every gamma vanishes at k below its level,
+and at b = 0 up to its level plus its factor count), where the power
+basis in k cancels terms of size k^(2l); against a 40-digit reference
+each S entry stays within a few u of the same sums taken in absolute
+values (tests/test_kernel.py).  A level whose beta~ are all exactly 0
+contributes nothing to any jump and is not contracted: a
+piecewise-linear map, whose jets past Dw all vanish, contracts level 0
+only, and its S is the exact table's bit for bit.
 
 The one-sided jumps of D^i phi at a singularity feed the low-rank
 aliasing correction; the kernel matrix built here is its middle factor.
@@ -49,7 +48,6 @@ aliasing correction; the kernel matrix built here is its middle factor.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-import cmath
 import math
 
 import numpy as np
@@ -129,48 +127,30 @@ class GammaLevel:
     num: np.ndarray  # (sequences, l + 1, 2l + 1), dtype object
 
     @cached_property
-    def nonzero(self) -> tuple:
-        """(cells, starts, powers, values): the nonzero num entries by k coefficient.
+    def ratio(self) -> np.ndarray:
+        """The table over binomials in k, as float64, read-only.
 
-        Grouped by cell n (2l + 1) + j of the (sequences, 2l + 1) k
-        coefficients: cells[c] owns values[starts[c]:starts[c + 1]], whose
-        b exponents are powers.  About 30% of the entries are nonzero.
+        ratio[n, i, m] is the coefficient of b^i binom(k, m) in
+        gamma_{l,n}: num over the Newton basis of k (_newton_matrix),
+        divided by den and rounded once per entry.  Made on first use,
+        not by gamma_tables.
         """
-        by_cell = self.num.transpose(0, 2, 1)  # (sequences, 2l + 1, l + 1)
-        n, j, i = np.nonzero(by_cell != 0)
-        cells, starts = np.unique(n * by_cell.shape[1] + j, return_index=True)
-        return cells, starts, i, by_cell[n, j, i]
+        newton = self.num @ _newton_matrix(self.num.shape[2] - 1)
+        r = np.array([v / self.den for v in newton.ravel().tolist()])
+        r = r.reshape(newton.shape)
+        r.flags.writeable = False
+        return r
 
-    @cached_property
-    def double_double(self) -> tuple:
-        """(hi, lo): the nonzero num / den entries as double-double floats.
 
-        Aligned with nonzero's values: hi is num / den correctly rounded,
-        lo the exact remainder num / den - hi correctly rounded, so
-        |num / den - hi - lo| <= 2^-53 |lo| and |lo| <= 2^-53 |hi|.
-        """
-        hi = [v / self.den for v in self.nonzero[3].tolist()]
-        lo = []
-        for v, h in zip(self.nonzero[3].tolist(), hi):
-            p, q = h.as_integer_ratio()
-            lo.append((v * q - p * self.den) / (self.den * q))
-        return np.array(hi, dtype=np.float64), np.array(lo, dtype=np.float64)
+def _newton_matrix(degree: int) -> np.ndarray:
+    """Q with k^j = sum_m Q[j, m] binom(k, m), j, m = 0 .. degree, in integers.
 
-    @cached_property
-    def factors(self) -> tuple:
-        """(shifts, which, orders): the beta_{l,n} factors in table order.
-
-        Sequence n takes Dw to the power b + shifts[which[n]] (its
-        dw_shift; shifts lists each distinct one once) and multiplies by
-        D^m w for m in orders[n], descending, padded to the level's most
-        parts with -1: an index to a 1.0 appended after the jets.
-        """
-        shifts = sorted({seq.dw_shift for seq in self.seqs})
-        which = np.array([shifts.index(seq.dw_shift) for seq in self.seqs])
-        orders = np.full((len(self.seqs), max(len(seq.parts) for seq in self.seqs)), -1)
-        for n, seq in enumerate(self.seqs):
-            orders[n, :len(seq.parts)] = [j + 1 for j in seq.parts]
-        return tuple(shifts), which, orders
+    Q[j, m] = sum_t (-1)^(m - t) binom(m, t) t^j, the m-th forward
+    difference of k^j at 0 (m! times a Stirling number of the second
+    kind).
+    """
+    return np.array([[sum((-1) ** (m - t) * math.comb(m, t) * t**j for t in range(m + 1))
+                      for m in range(degree + 1)] for j in range(degree + 1)], dtype=object)
 
 
 def _antidifference_matrix(degree: int) -> tuple:
@@ -237,266 +217,90 @@ def gamma_tables(max_level: int) -> tuple:
 # numeric expansion coefficients
 
 
-def _beta_table(jets: np.ndarray, table: GammaLevel, b: float) -> np.ndarray:
-    """beta_{l,n} of every sequence n of one level on every row of jets.
-
-    jets holds one-sided jet values D^m w per row, m = 0 .. l + 1 or more;
-    returns (rows, sequences).  Per entry the operations of the scalar
-    definition, in its order: Dw^(b + dw_shift) as a numpy scalar power,
-    formed once per row and distinct shift, then one product per part,
-    descending, where a padded part multiplies by an exact 1.0.
-    """
-    shifts, which, orders = table.factors
-    rows = jets.shape[0]
-    powers = np.array([[dw ** (b + s) for s in shifts] for dw in jets[:, 1]],
-                      dtype=np.float64).reshape(rows, len(shifts))
-    beta = powers[:, which]
-    padded = np.concatenate([jets, np.ones((rows, 1))], axis=1)
-    for col in orders.T:
-        beta *= padded[:, col]
-    return beta
-
-
-def alpha_eval(warp, x: float, side: str, b: float, k: int, level: int) -> float:
-    """alpha_{k,level} at one side of x: sum_n beta_{l,n} gamma_{l,n}(k)."""
-    if level < 0 or k < 0:
-        raise ValueError("order and level must be >= 0")
-    if level > k:
-        return 0.0
-    if level > MAX_LEVEL_DEFAULT:
-        raise ValueError(f"level {level} beyond table depth {MAX_LEVEL_DEFAULT}")
-    jets = warp.side_jets(x, level + 1, side)
-    table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
-    g = _gamma_values((table,), b, np.array([float(k)]))[0][:, 0]
-    return float(_beta_table(jets[None], table, b)[0] @ g)
-
-
-def expansion_derivative(warp, x: float, side: str, a: complex, b: float,
-                         k: int) -> complex:
-    """D^k [exp(a w) (Dw)^b] rebuilt from the symbolic tables.
-
-    Exact for k <= MAX_LEVEL_DEFAULT; the independent check is jet
-    arithmetic in the quadrature oracle.
-    """
-    if k > MAX_LEVEL_DEFAULT:
-        raise ValueError(f"order {k} beyond table depth {MAX_LEVEL_DEFAULT}")
-    jets = warp.side_jets(x, k + 1, side)
-    dw = jets[1]
-    w0 = jets[0]
-    total = 0.0 + 0.0j
-    for level in range(k + 1):
-        al = alpha_eval(warp, x, side, b, k, level)
-        total += al * (a * dw) ** (k - level)
-    return total * cmath.exp(a * w0)
-
-
-# ---------------------------------------------------------------------------
-# collapse of the b powers: compensated Horner, exact where in doubt
-
-
-def _b_scale(table: GammaLevel, b: float) -> tuple:
-    """(bpow, den): b^i = bpow[i] / den exactly, i = 0 .. l, in integers.
-
-    b is a float, so b = m / 2^e with integers m, e >= 0; then
-    bpow[i] = m^i 2^(e (l - i)) and den = table.den 2^(e l), which folds
-    the table's denominator in.
-    """
-    m, two_e = float(b).as_integer_ratio()
-    shift = two_e.bit_length() - 1
-    top = table.num.shape[1] - 1
-    bpow = np.array([m**i << (shift * (top - i)) for i in range(top + 1)],
-                    dtype=object)
-    return bpow, table.den << (shift * top)
-
-
-def _collapse_b(table: GammaLevel, b: float) -> np.ndarray:
-    """One level's k coefficients at this b, correctly rounded, in integers.
-
-    Returns a (sequences, 2l + 1) matrix in ascending k powers.  Each k
-    coefficient sum_i (num[i] / den) b^i is one exact integer ratio
-    (_b_scale), rounded once by int / int division: the same floats as
-    collapsing through Fraction.  Only the nonzero entries are summed
-    (GammaLevel.nonzero); a cell without any is exactly 0.
-
-    This is the reference of the fast path, _collapse_levels, which
-    agrees with it bit for bit: the fast path evaluates every cell by a
-    compensated Horner scheme in b and certifies its rounding, and the few
-    cells it cannot certify take these integer sums cell by cell
-    (_exact_cells).
-    """
-    bpow, den = _b_scale(table, b)
-    cells, starts, powers, values = table.nonzero
-    acc = np.add.reduceat(values * bpow[powers], starts)
-    out = np.zeros(table.num.shape[::2])
-    out.flat[cells] = acc / den
-    return out
-
-
-def _exact_cells(table: GammaLevel, b: float, which: np.ndarray) -> list:
-    """_collapse_b's value at the nonzero cells table.nonzero[0][which]."""
-    bpow, den = _b_scale(table, b)
-    _, starts, powers, values = table.nonzero
-    ends = np.append(starts[1:], len(values))
-    return [sum((values[lo:hi] * bpow[powers[lo:hi]]).tolist()) / den
-            for lo, hi in zip(starts[which], ends[which])]
-
-
-# Dekker's split: x = hi + lo with hi on 26 bits, exact in round to nearest
-_SPLIT = 2.0**27 + 1.0
-_U = 2.0**-53  # unit roundoff of binary64
-_ETA = 2.0**-1074  # least subnormal: the absolute error of an underflow
-
-
-@dataclass(frozen=True, eq=False)
-class _Stack:
-    """The gamma tables of several levels laid out for one pass in b and k.
-
-    The k coefficients of every level form one stacked (rows, width)
-    matrix: each table's sequences are the rows blocks[t] (start, stop),
-    widest level first, and the columns are ascending k powers, zero past
-    a level's 2l.  The rows of k degree >= j are then the prefix
-    k_active[j].
-
-    Each nonzero cell c of that matrix is the polynomial
-    sum_i (hi[i, c] + lo[i, c]) b^i.  Cells run in descending b degree, so
-    the cells of degree >= i are the prefix b_active[i].  dest[c] is the
-    cell's flat index in the matrix; table[c] and cell[c] locate it in its
-    level's nonzero cells, for the exact fallback.
-    """
-
-    hi: np.ndarray  # (b degree + 1, cells)
-    lo: np.ndarray
-    habs: np.ndarray  # |hi|
-    b_active: tuple
-    dest: np.ndarray
-    table: np.ndarray
-    cell: np.ndarray
-    blocks: tuple
-    k_active: tuple
-    shape: tuple
-
-
-# one entry per set of live levels; a map's vanishing jets fix that set
 @lru_cache(maxsize=16)
-def _stack(tables: tuple) -> _Stack:
-    widths = [t.num.shape[2] for t in tables]
-    width = max(widths)
-    top = max(t.num.shape[1] for t in tables) - 1
-    starts, row = {}, 0
-    for index in sorted(range(len(tables)), key=lambda t: -widths[t]):
-        starts[index], row = row, row + tables[index].num.shape[0]
-    degree, dest, owner, words = [], [], [], []
-    for index, t in enumerate(tables):
-        cells, first, powers, _ = t.nonzero
-        entry_cell = np.repeat(np.arange(len(cells)), np.diff(np.append(first, len(powers))))
-        block = np.zeros((2, top + 1, len(cells)))
-        block[:, powers, entry_cell] = t.double_double
-        degree.append(np.maximum.reduceat(powers, first))
-        dest.append((starts[index] + cells // widths[index]) * width + cells % widths[index])
-        owner.append(np.full(len(cells), index))
-        words.append(block)
-    degree = np.concatenate(degree)
-    order = np.argsort(-degree, kind="stable")
-    hi, lo = np.concatenate(words, axis=2)[:, :, order]
-    return _Stack(
-        hi=hi, lo=lo, habs=np.abs(hi),
-        b_active=tuple(int(np.count_nonzero(degree >= i)) for i in range(top + 1)),
-        dest=np.concatenate(dest)[order],
-        table=np.concatenate(owner)[order],
-        cell=np.concatenate([np.arange(len(t.nonzero[0])) for t in tables])[order],
-        blocks=tuple((starts[t], starts[t] + tables[t].num.shape[0])
-                     for t in range(len(tables))),
-        k_active=tuple(sum(t.num.shape[0] for t, w in zip(tables, widths) if w > j)
-                       for j in range(width)),
-        shape=(row, width),
-    )
+def _factors(tables: tuple) -> tuple:
+    """(shifts, orders, starts): the beta~ factors of every sequence of tables, read-only.
 
-
-def _collapse_levels(tables: tuple, b: float) -> np.ndarray:
-    """The k coefficients of every level in tables at this b, stacked.
-
-    The layout is _stack(tables)'s: table t's rows are blocks[t], and its
-    first 2l + 1 columns are _collapse_b's matrix bit for bit, the rest 0.
-
-    Every cell runs one compensated Horner scheme in b (Graillat, Langlois
-    & Louvet 2005): TwoProd by Dekker's split and TwoSum carry the
-    rounding errors of the hi words into a correction c, which also takes
-    the lo words, and the result stays unevaluated as (s, c).  With n the
-    widest b degree,
-        |s + c - p(b)| <= E = 2 (2n + 2)^2 u^2 p~(|b|) + 16 (n + 1) eta max(1, |b|)^n,
-    where p~ is the Horner sum of |hi| at |b|, u = 2^-53 and eta the least
-    subnormal: (gamma_{2n+1}^2 + u^2) p~ bounds the compensated Horner and
-    the lo words' rounding, the factor 2 the rounding of p~ itself, and
-    the eta term underflow.  With y + r = s + c (TwoSum), y is the
-    correctly rounded p(b) when |r| + E is below half the smaller ulp
-    gap next to y (Ziv's test); a cell that fails it, an exact zero or a
-    tie among them, takes the exact integer sum (_exact_cells).
+    Sequence n, in table order, takes Dw to the power shifts[n] (its
+    dw_shift) and multiplies by D^m w for m in orders[n], padded to the
+    most parts with -1: an index to a 1.0 appended after the jets.  Table
+    t owns the sequences starts[t] .. starts[t + 1] - 1.
     """
-    st = _stack(tables)
-    b = float(b)
-    n = st.hi.shape[0] - 1
-    ab = abs(b)
-    bh = b * _SPLIT - (b * _SPLIT - b)
-    bl = b - bh
-    # an overflow (a huge b) leaves inf or nan, which fails the test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, c, bound = st.hi[n].copy(), st.lo[n].copy(), st.habs[n].copy()
-        for i in range(n - 1, -1, -1):
-            m = st.b_active[i]
-            sv, a = s[:m], st.hi[i, :m]
-            # TwoProd: p + err = s b exactly
-            p = sv * b
-            t = sv * _SPLIT
-            sh = t - (t - sv)
-            sl = sv - sh
-            err = ((sh * bh - p) + sh * bl + sl * bh) + sl * bl
-            # TwoSum: total + sigma = p + a exactly
-            total = p + a
-            z = total - p
-            err += (p - (total - z)) + (a - z)
-            err += st.lo[i, :m]
-            c[:m] *= b
-            c[:m] += err
-            bound[:m] *= ab
-            bound[:m] += st.habs[i, :m]
-            s[:m] = total
-        y = s + c
-        z = y - s
-        r = (s - (y - z)) + (c - z)
-        E = (2 * (2 * n + 2) ** 2 * _U * _U) * bound \
-            + 16 * (n + 1) * _ETA * np.float64(max(1.0, ab)) ** n
-        # half the gap below |y|, the smaller one at a power of two; 0 at 0
-        ay = np.abs(y)
-        half = (ay - np.nextafter(ay, 0.0)) * 0.5
-        sure = np.abs(r) + E < half
-    out = np.zeros(st.shape)
-    out.flat[st.dest] = y
-    doubt = np.flatnonzero(~sure)
-    for index in set(st.table[doubt].tolist()):
-        cells = doubt[st.table[doubt] == index]
-        out.flat[st.dest[cells]] = _exact_cells(tables[index], b, st.cell[cells])
-    return out
+    seqs = [seq for table in tables for seq in table.seqs]
+    orders = np.full((len(seqs), max(len(seq.parts) for seq in seqs)), -1)
+    for n, seq in enumerate(seqs):
+        orders[n, :len(seq.parts)] = [j + 1 for j in seq.parts]
+    shifts = np.array([seq.dw_shift for seq in seqs], dtype=np.float64)
+    starts = np.cumsum([0] + [len(table.seqs) for table in tables])
+    for a in (shifts, orders, starts):
+        a.flags.writeable = False
+    return shifts, orders, starts
 
 
-def _gamma_values(tables: tuple, b: float, ks: np.ndarray) -> list:
-    """gamma_{l,n}(k) of every level in tables at this b, for every k in ks.
+def _beta_free(jets: np.ndarray, tables: tuple) -> list:
+    """beta~_{l,n} = Dw^dw_shift prod D^m w of every table on every row of jets.
 
-    One (sequences, ks) matrix per table.  The b collapse is one batched
-    pass (_collapse_levels), and the k polynomials run one Horner over the
-    stacked levels from the widest top k power; a shorter level's rows
-    join at their own top power (the prefix k_active), so each entry takes
-    the same operations as evaluating its polynomial alone.
+    jets holds one-sided jet values D^m w per row, m = 0 .. l + 1 or more
+    for the deepest level l; one (rows, sequences) view per table.
     """
-    if not tables:
-        return []
-    coef = _collapse_levels(tables, b)
-    st = _stack(tables)
-    g = np.zeros((coef.shape[0], ks.size))
-    for j in range(coef.shape[1] - 1, -1, -1):
-        m = st.k_active[j]
-        g[:m] *= ks
-        g[:m] += coef[:m, j, None]
-    return [g[start:stop] for start, stop in st.blocks]
+    shifts, orders, starts = _factors(tables)
+    padded = np.concatenate([jets, np.ones((jets.shape[0], 1))], axis=1)
+    beta = jets[:, 1:2] ** shifts * np.prod(padded[:, orders], axis=2)
+    return [beta[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _contract(tables: tuple, betas: list) -> np.ndarray:
+    """C[row, t, i, m] = sum_n betas[t][row, n] ratio_t[n, i, m].
+
+    One matmul per table against its float table over binomials; stacked
+    over the tables, zero past a table's own b and k degrees.
+    """
+    top = max(t.num.shape[1] for t in tables)
+    C = np.zeros((betas[0].shape[0], len(tables), top, 2 * top - 1))
+    for index, (table, beta) in enumerate(zip(tables, betas)):
+        n, i, j = table.ratio.shape
+        C[:, index, :i, :j] = (beta @ table.ratio.reshape(n, -1)).reshape(-1, i, j)
+    return C
+
+
+def _evaluate(C: np.ndarray, b: float, ks: np.ndarray) -> np.ndarray:
+    """sum_i b^i sum_m C[..., i, m] binom(k, m) for every k in ks: (..., ks).
+
+    One Horner pass in b, then one in k over binomials,
+    sum_m P_m binom(k, m) = P_0 + k (P_1 + (k - 1)/2 (P_2 + ...)), whose
+    factor k - m is exactly 0 at an integer k = m.  The terms past
+    binom(k, k) drop out exactly, so a gamma is exactly 0 wherever its
+    Newton coefficients up to k are: at every k below its level, for any
+    b, and at its integer roots at b = 0.
+    """
+    P = C[..., -1, :]
+    for i in range(C.shape[-2] - 2, -1, -1):
+        P = P * b + C[..., i, :]
+    G = np.zeros(P.shape[:-1] + (ks.size,))
+    for m in range(P.shape[-1] - 1, -1, -1):
+        G = G * ((ks - m) / (m + 1)) + P[..., m, None]
+    return G
+
+
+def _expansion(jets: np.ndarray, b: float, ks: np.ndarray, tables: tuple) -> tuple:
+    """(alpha, live): alpha_{k,l} on every jet row, table and k in ks.
+
+    alpha is (rows, tables, ks).  live lists the tables with a nonzero
+    beta~ on some row; only those are contracted, and the others' alpha
+    is exactly 0.  NaN or inf betas are not 0 and are kept.
+    """
+    betas = _beta_free(jets, tables)
+    live = [t for t, beta in enumerate(betas) if beta.any()]
+    alpha = np.zeros((jets.shape[0], len(tables), ks.size))
+    if not live:
+        return alpha, live
+    G = _evaluate(_contract(tuple(tables[t] for t in live), [betas[t] for t in live]),
+                  b, ks)
+    # Dw^b by numpy's scalar power, as the scalar reference forms it, so a
+    # level-0-only (piecewise-linear) S keeps the reference's bits
+    dwb = np.array([dw ** b for dw in jets[:, 1]], dtype=np.float64)
+    alpha[:, live] = dwb[:, None, None] * G
+    return alpha, live
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +346,13 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
                  kernel_tol: float = KERNEL_TOL_DEFAULT) -> KernelBundle:
     """Assemble the jump kernels for every singularity of the map.
 
-    Each level's betas cover every jump and both sides, on all 2J
-    one-sided jet rows (_beta_table).  The levels with a nonzero beta
-    take their gamma values at the R row orders from one batched
-    collapse (_gamma_values), then per level one sequential sum over the
-    sequences per row for alpha, and every jump's S band from it.  A
-    level whose betas are all exactly 0 is left out, so it collapses no
-    gamma and its band stays 0: on a piecewise-linear map every jet past
-    Dw is 0 and only level 0 is built.  NaN or inf betas are not 0 and
-    are kept.
+    All 2J one-sided jet rows (both sides of every jump) go through one
+    expansion (_expansion): each live level is contracted once against
+    the rows' beta~, and alpha at the R row orders comes from one Horner
+    pass in b and one in k; every jump's S band follows from it.  A level
+    whose beta~ are all exactly 0 is not contracted and its band stays
+    0: on a piecewise-linear map every jet past Dw is 0 and only level 0
+    is built.
 
     Refuses when any one-sided decay ratio is at or below 1: the
     correction series would diverge there, and the sampling geometry has
@@ -585,7 +387,6 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
                     dtype=np.float64).reshape(-1, MAX_LEVEL_DEFAULT + 2)
     jp = np.array([[Jp ** (-k) for k in range(R)] for Jp, _ in ratios]).reshape(-1, R)
     jm = np.array([[Jm ** (-k) for k in range(R)] for _, Jm in ratios]).reshape(-1, R)
-    rows = np.arange(R, dtype=np.float64)
     scale = -2j * math.pi * spec.row_radius
     # S[j, i, k] pairs level i - k; levels past R - 1 pair with no (row,
     # column), and levels past MAX_LEVEL_DEFAULT are dropped.  That drop is
@@ -593,17 +394,12 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     # at R = 80 the level cap 12 leaves 1.5e-6 where 16 reaches 5.3e-9,
     # likely because gamma_l(k) grows like k^(2l) (ROADMAP item 1)
     S = np.zeros((len(ratios), R, R), dtype=np.complex128)
-    tables = gamma_tables(MAX_LEVEL_DEFAULT)[:R]
-    betas = [_beta_table(jets, table, b) for table in tables]
-    live = [level for level, beta in enumerate(betas) if beta.any()]
-    gammas = _gamma_values(tuple(tables[level] for level in live), b, rows)
-    for level, g in zip(live, gammas):
-        beta = betas[level]
-        # alpha_{i,level} per jet row: summed over the sequences in table order
-        alpha = np.add.accumulate(beta[:, :, None] * g, axis=1)[:, -1]
+    alpha, live = _expansion(jets, b, np.arange(R, dtype=np.float64),
+                             gamma_tables(MAX_LEVEL_DEFAULT)[:R])
+    for level in live:
         k = np.arange(R - level)
         S[:, k + level, k] = scale ** (-level - 1) * (
-            alpha[0::2, level:] * jp[:, k] - alpha[1::2, level:] * jm[:, k])
+            alpha[0::2, level, level:] * jp[:, k] - alpha[1::2, level, level:] * jm[:, k])
 
     kernels = [
         SingularityKernel(

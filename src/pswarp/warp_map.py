@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,9 @@ class WarpMap:
             raise ValueError("pieces must start at 0")
         self._classify()
         self._derivative_range()
+        # domain_indexing.sampled_grid's records, and the one inverse
+        self._grids = OrderedDict()
+        self._inverse = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -250,7 +254,10 @@ class WarpMap:
     # -- misc ----------------------------------------------------------------
 
     def inverse(self):
-        return InverseMap(self)
+        """The map's one InverseMap, bracketed on first use."""
+        if self._inverse is None:
+            self._inverse = InverseMap(self)
+        return self._inverse
 
     def to_json(self):
         return dict(self.spec_json)
@@ -277,6 +284,7 @@ class InverseMap:
         self.singularities = [eta for eta, _, _ in self._slope_jumps]
         self.min_dw = 1.0 / source.max_dw
         self.max_dw = 1.0 / source.min_dw
+        self._grids = OrderedDict()  # domain_indexing.sampled_grid's records
 
     def eval(self, y):
         """v(y) with |w(v) - y| <= 1e-14, vectorized."""
@@ -319,7 +327,7 @@ class InverseMap:
         return Samples(y, v, 1.0 / self.source.deriv1(v), _jump_hits(y, self._slope_jumps))
 
     def sampled_weight(self, y, b):
-        """(Dv)^b on y, sample(y).weight(b); the inverse-map operators sample per call."""
+        """(Dv)^b on y, sample(y).weight(b); the inverse-map operators read a SampledGrid."""
         return _sampled_weight(self, y, b)
 
 
@@ -343,10 +351,11 @@ def _jump_hits(x, jumps):
 class Samples:
     """A map on sample points: values, slopes and slope-jump hits, all b-free.
 
-    A DomainSpec holds the one every operator reads.  weight(b) holds the
-    one-sided mean rule: a point on a slope jump takes the mean of the
-    one-sided (Dw)^b, where its Fourier series converges; only then does the
-    discrete operator fold onto the analytic aliasing tails exactly.
+    A map's SampledGrid holds the one every operator reads.  weight(b)
+    holds the one-sided mean rule: a point on a slope jump takes the mean
+    of the one-sided (Dw)^b, where its Fourier series converges; only then
+    does the discrete operator fold onto the analytic aliasing tails
+    exactly.
     """
 
     points: np.ndarray

@@ -1,10 +1,12 @@
 """Symbolic expansion tables and the per-singularity jump kernel."""
 
 from fractions import Fraction as F
+import cmath
 import hashlib
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +16,10 @@ from pswarp.symbolic_kernel import (
     MAX_LEVEL_DEFAULT,
     KernelBundle,
     _antidifference_matrix,
-    _beta_table,
     _poly_string,
-    alpha_eval,
     build_kernel,
     choose_rows,
     enumerate_level,
-    expansion_derivative,
     gamma_tables,
     kernel_as_json,
     tables_as_json,
@@ -32,7 +31,6 @@ from pswarp.warp_map import (
     exponential_map,
     identity_map,
     piecewise_linear_map,
-    spline_map,
 )
 from pswarp.domain_indexing import domain_spec, singularity_decay_ratio
 from pswarp.dense_oracle import entry as oracle_entry, phi_derivative
@@ -221,6 +219,38 @@ def test_difference_equation_recovers_table(level, b):
 # alpha coefficients and full derivative reconstruction
 
 
+def _alphas(warp, x, side, b, k, top):
+    """alpha_{k,l} at one side of x for l = 0 .. top, from the contraction."""
+    jets = warp.side_jets(x, MAX_LEVEL_DEFAULT + 1, side)
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)[:top + 1]
+    alpha, _ = symbolic_kernel._expansion(jets[None], b, np.array([float(k)]), tables)
+    return alpha[0, :, 0], jets
+
+
+def alpha_eval(warp, x, side, b, k, level):
+    """alpha_{k,level} at one side of x: sum_n beta_{l,n} gamma_{l,n}(k)."""
+    if level < 0 or k < 0:
+        raise ValueError("order and level must be >= 0")
+    if level > k:
+        return 0.0
+    if level > MAX_LEVEL_DEFAULT:
+        raise ValueError(f"level {level} beyond table depth {MAX_LEVEL_DEFAULT}")
+    return float(_alphas(warp, x, side, b, k, level)[0][level])
+
+
+def expansion_derivative(warp, x, side, a, b, k):
+    """D^k [exp(a w) (Dw)^b] rebuilt from the symbolic tables.
+
+    Exact for k <= MAX_LEVEL_DEFAULT; the independent check is jet
+    arithmetic in the quadrature oracle.
+    """
+    if k > MAX_LEVEL_DEFAULT:
+        raise ValueError(f"order {k} beyond table depth {MAX_LEVEL_DEFAULT}")
+    alpha, jets = _alphas(warp, x, side, b, k, k)
+    total = sum(al * (a * jets[1]) ** (k - level) for level, al in enumerate(alpha))
+    return total * cmath.exp(a * jets[0])
+
+
 def test_alpha_level_two_top_coefficient():
     # alpha_{2,2} = b(b-1) beta_{2,(1,1)} + b beta_{2,(2)}
     t = gamma_tables(2)[2]
@@ -338,106 +368,147 @@ def test_build_kernel_refuses_b_outside_the_unit_interval(b):
 
 @pytest.mark.parametrize("b", [0.5, 0.3, 0.0, 1.0, 1.0 / 3.0, 0.7123456789])
 def test_kernel_matches_fraction_collapse_bit_for_bit(b):
-    # the integer collapse rounds each k coefficient once, like Fraction,
-    # and the row-vectorized Horner keeps the scalar operation order
-    cases = [(exponential_map(), 33, 67, None),
-             (cubic_seam_map(), 9, 31, 20),
-             (piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8]), 9, 19, 6)]
-    for w, N, M, R in cases:
+    # a piecewise-linear map lives at level 0 only, where the contraction
+    # and both Horner passes are exact: S is the scalar reference's bits
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8])
+    spec = domain_spec(w, 9, 19, b=b)
+    bun = build_kernel(w, spec, b, R=6)
+    for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
+        assert np.array_equal(ker.S, ref), (w.spec_json["type"], b)
+
+
+def _gamma_integers(num, b, ks):
+    """gamma(k) = g[k] / den exactly, for each k in ks, of one (b, k) array.
+
+    num is one sequence's integer array over the level's den; b is a
+    float, so b = m / 2^e exactly and every value is an integer ratio.
+    """
+    m, two_e = F(b).as_integer_ratio()
+    top = num.shape[0] - 1
+    coef = [sum(int(num[i, j]) * m**i * two_e**(top - i) for i in range(top + 1))
+            for j in range(num.shape[1])]
+    out = []
+    for k in ks:
+        g = 0
+        for c in reversed(coef):
+            g = g * k + c
+        out.append(g)
+    return out, two_e**top
+
+
+def _mp(x):
+    """A Fraction or an mpf as an mpf at the working precision."""
+    x = F(x) if isinstance(x, int) else x
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F) else x
+
+
+def _exact_kernel(warp, spec, b, R):
+    """(S, E) per jump: S to 40 digits, E its condition sum.
+
+    alpha_{k,l} = sum_n beta_{l,n} gamma_{l,n}(k) from the exact integer
+    tables: in Fractions at b in {0, 1}, where Dw^(b + shift) is
+    rational, and in 40-digit mpmath otherwise, the float jets and J and
+    the float b taken as exact.  E sums the same terms in absolute value,
+    |b| and |num| in place of b and num, so a float evaluation of S
+    carries an error of a modest multiple of u E.
+    """
+    mpmath.mp.dps = 40
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)[:R]
+    exact = b in (0.0, 1.0)
+    scale = -2j * mpmath.pi * mpmath.mpf(spec.row_radius)
+    out = []
+    for xi in warp.singularities:
+        sides = []
+        for side in ("right", "left"):
+            jets = warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
+            alpha = np.zeros((len(tables), R), dtype=object)
+            cond = np.zeros((len(tables), R), dtype=object)
+            for level, table in enumerate(tables):
+                for seq, num in zip(table.seqs, table.num):
+                    if exact:
+                        beta = F(jets[1]) ** (int(b) + seq.dw_shift)
+                        for j in seq.parts:
+                            beta *= F(jets[j + 1])
+                    else:
+                        beta = mpmath.mpf(jets[1]) ** (mpmath.mpf(b) + seq.dw_shift)
+                        for j in seq.parts:
+                            beta *= mpmath.mpf(jets[j + 1])
+                    if beta == 0:
+                        continue
+                    g, den = _gamma_integers(num, b, range(R))
+                    gabs, _ = _gamma_integers(abs(num), b, range(R))
+                    den *= table.den
+                    for k in range(level, R):
+                        alpha[level, k] += beta * F(g[k], den) if exact \
+                            else beta * mpmath.mpf(g[k]) / den
+                        cond[level, k] += abs(_mp(beta)) * mpmath.mpf(gabs[k]) / den
+            sides.append((alpha, cond))
+        Jp = mpmath.mpf(singularity_decay_ratio(warp, spec, xi, "right"))
+        Jm = mpmath.mpf(singularity_decay_ratio(warp, spec, xi, "left"))
+        (ap, cp), (am, cm) = sides
+        S = np.zeros((R, R), dtype=object)
+        E = np.zeros((R, R))
+        for i in range(R):
+            for k in range(max(0, i - len(tables) + 1), i + 1):
+                level = i - k
+                S[i, k] = scale ** (k - i - 1) * (_mp(ap[level, i]) * Jp ** -k
+                                                  - _mp(am[level, i]) * Jm ** -k)
+                E[i, k] = float(abs(scale) ** (k - i - 1)
+                                * (cp[level, i] * Jp ** -k + cm[level, i] * Jm ** -k))
+        out.append((S, E))
+    return out
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.0 / 3.0, 0.5, 0.7123456789])
+def test_kernel_matches_the_exact_expansion(b):
+    # the contraction rounds the table once and sums in floats, so S is
+    # not the exact table's bit for bit; per level it is within 1e-11 of
+    # that level's largest exact entry, plus 2e-14 max|S|, and every entry
+    # within 16 u of its condition sum.  The level bound is asserted where
+    # the exact-collapse code this replaced met it as well: on the cubic
+    # seam at N = 9, R = 20 that code evaluated gamma in powers of k near
+    # its integer roots and missed it by 5x at level 11, though not the
+    # condition bound
+    cases = [(exponential_map(), 33, 67, None, True),
+             (cubic_seam_map(), 33, 67, None, True),
+             (cubic_seam_map(), 9, 31, 20, False)]
+    for w, N, M, R, per_level in cases:
         spec = domain_spec(w, N, M, b=b)
         bun = build_kernel(w, spec, b, R=R)
-        for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
-            assert np.array_equal(ker.S, ref), (w.spec_json["type"], b)
+        R = bun.rows
+        for ker, (S, E) in zip(bun.kernels, _exact_kernel(w, spec, b, R)):
+            err = np.array([[abs(complex(mpmath.mpc(ker.S[i, k]) - S[i, k]))
+                             for k in range(R)] for i in range(R)])
+            ref = np.array([[abs(complex(S[i, k])) for k in range(R)] for i in range(R)])
+            assert np.all(err <= 16 * 2.0**-53 * E), (w.spec_json["type"], N)
+            if not per_level:
+                continue
+            for level in range(R):
+                band = np.arange(level, R), np.arange(R - level)
+                assert np.all(err[band] <= 1e-11 * ref[band].max() + 2e-14 * ref.max()), \
+                    (w.spec_json["type"], level)
 
 
-def _assert_batched_collapse_is_exact(tables, b):
-    """Each level's block of the batched collapse is _collapse_b's, bit for bit."""
-    got = symbolic_kernel._collapse_levels(tables, b)
-    blocks = symbolic_kernel._stack(tables).blocks
-    for table, (start, stop) in zip(tables, blocks):
-        ref = symbolic_kernel._collapse_b(table, b)
-        block = got[start:stop]
-        level = table.seqs[0].level
-        # tobytes compares zero signs too
-        assert block[:, :ref.shape[1]].tobytes() == ref.tobytes(), (b, level)
-        assert not block[:, ref.shape[1]:].any(), (b, level)
-
-
-BATCH_B = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-30, 1.0 - 2.0**-53,
-           float(np.nextafter(0.5, 1.0)), 1.0 / 3.0, 0.7123456789]
-
-
-@pytest.mark.parametrize("b", BATCH_B)
-def test_batched_collapse_is_the_exact_collapse_at_fixed_b(b):
-    _assert_batched_collapse_is_exact(gamma_tables(MAX_LEVEL_DEFAULT), b)
-
-
-def test_batched_collapse_is_the_exact_collapse_at_random_b():
-    tables = gamma_tables(MAX_LEVEL_DEFAULT)
-    for b in np.random.default_rng(2005).uniform(0.0, 1.0, 200):
-        _assert_batched_collapse_is_exact(tables, float(b))
-    # any subset in any order: the layout puts the widest level first
-    for b in (0.3, 0.7123456789):
-        _assert_batched_collapse_is_exact((tables[5], tables[12], tables[0]), b)
-        _assert_batched_collapse_is_exact((tables[4],), b)
-
-
-def test_batched_collapse_falls_back_to_integers_on_an_exact_zero(monkeypatch):
-    # level 1's k coefficient b - 1/2 is exactly 0 at b = 1/2; half an ulp
-    # of 0 is below every positive bound, so that cell cannot be certified
-    # and must take the exact integer sum
-    tables = gamma_tables(MAX_LEVEL_DEFAULT)
-    level1 = tables[1]
-    assert _poly_string(level1.den, level1.num[0]) == "1/2 k^2 + (b - 1/2) k"
-    exact = symbolic_kernel._exact_cells
-    fallback = []
-
-    def recorded(table, b, which):
-        fallback.extend((table.seqs[0].level, int(table.nonzero[0][c])) for c in which)
-        return exact(table, b, which)
-
-    monkeypatch.setattr(symbolic_kernel, "_exact_cells", recorded)
-    _assert_batched_collapse_is_exact(tables, 0.5)
-    assert (1, 1) in fallback  # sequence 0, k^1
-    assert symbolic_kernel._collapse_b(level1, 0.5)[0, 1] == 0.0
-
-
-@pytest.mark.parametrize("b", [0.0, 0.5, 0.7123456789, 1.0])
-@pytest.mark.parametrize("w", [exponential_map(), cubic_seam_map(), spline_map(),
-                               piecewise_linear_map()],
-                         ids=["exp", "cubic", "spline", "pl"])
-def test_beta_table_matches_scalar_definition_bit_for_bit(w, b):
-    # one stack of jet rows, both sides of every jump, against the scalar
-    # definition one beta at a time; the bits, zero signs included
-    jets = np.array([w.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
-                     for xi in w.singularities for side in ("right", "left")])
-    for table in gamma_tables(MAX_LEVEL_DEFAULT):
-        got = _beta_table(jets, table, b)
-        ref = np.array([[_beta_value(row, seq, b) for seq in table.seqs] for row in jets])
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes(), (w.spec_json["type"], table.seqs[0].level)
-
-
-def _count_collapses(monkeypatch):
-    """The levels handed to the batched b collapse, in order."""
+def _count_contractions(monkeypatch):
+    """The levels handed to the contraction, in order."""
     levels = []
-    collapse = symbolic_kernel._collapse_levels
+    contract = symbolic_kernel._contract
 
-    def counted(tables, b):
+    def counted(tables, betas):
         levels.extend(table.seqs[0].level for table in tables)
-        return collapse(tables, b)
+        return contract(tables, betas)
 
-    monkeypatch.setattr(symbolic_kernel, "_collapse_levels", counted)
+    monkeypatch.setattr(symbolic_kernel, "_contract", counted)
     return levels
 
 
 @pytest.mark.parametrize("b", [0.5, 0.7123456789])
 def test_piecewise_linear_kernel_collapses_level_zero_only(monkeypatch, b):
     # every jet past Dw is exactly 0, so every beta past level 0 is 0 and
-    # those levels are skipped; S is still the scalar reference's
+    # those levels are not contracted; S is still the scalar reference's
     w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8])
     spec = domain_spec(w, 9, 19, b=b)
-    levels = _count_collapses(monkeypatch)
+    levels = _count_contractions(monkeypatch)
     bun = build_kernel(w, spec, b, R=64)
     assert levels == [0]
     assert len(bun.kernels) == 3
@@ -450,9 +521,53 @@ def test_smooth_jets_collapse_every_reachable_level(monkeypatch, R):
     # the cubic seam's D^2 w is nonzero on both sides, so no level is dead
     w = cubic_seam_map()
     spec = domain_spec(w, 9, 31, b=0.3)
-    levels = _count_collapses(monkeypatch)
+    levels = _count_contractions(monkeypatch)
     build_kernel(w, spec, R=R)
     assert levels == list(range(min(R, MAX_LEVEL_DEFAULT + 1)))
+
+
+def _forward_differences(values):
+    """[D^m v(0) for m = 0 ..]: the Newton coefficients of values at 0, 1, ..."""
+    out, row = [], list(values)
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+@pytest.mark.parametrize("level", [1, 2, 5, 12])
+def test_gamma_ratio_is_the_rounded_newton_table(level):
+    # the float table the contraction reads: gamma over binomials in k,
+    # each exact coefficient rounded once; from the polynomial's values
+    # at k = 0 .. 2l by iterated differences, not by the Stirling matrix
+    table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
+    assert not table.ratio.flags.writeable
+    assert table.ratio.shape == table.num.shape
+    for n in range(len(table.seqs)):
+        for i in range(level + 1):
+            num = table.num[n, i]
+            values = [sum(int(v) * k**j for j, v in enumerate(num)) for k in range(num.size)]
+            want = [float(F(d, table.den)) for d in _forward_differences(values)]
+            assert table.ratio[n, i].tolist() == want, (n, i)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.7123456789, 1.0])
+def test_gamma_values_vanish_exactly_at_their_integer_roots(b):
+    # gamma_{l,n}(k) = 0 for k < l at every b, and at b = 0 for every
+    # k < l + #factors: in the binomial basis those zeros are exact
+    # elsewhere, within 1e-13 of the sum of the terms' magnitudes
+    ks = np.arange(30.0)
+    for table in gamma_tables(MAX_LEVEL_DEFAULT)[1:]:
+        C = symbolic_kernel._contract((table,), [np.eye(len(table.seqs))])
+        g = symbolic_kernel._evaluate(C, b, ks)[:, 0]
+        size = symbolic_kernel._evaluate(np.abs(C), b, ks)[:, 0]
+        level = table.seqs[0].level
+        for n, seq in enumerate(table.seqs):
+            roots = level + len(seq.parts) if b == 0.0 else level
+            assert not g[n, :roots].any(), (level, seq.parts)
+            values, scale = _gamma_integers(table.num[n], b, range(ks.size))
+            exact = np.array([float(F(v, scale * table.den)) for v in values])
+            assert np.all(np.abs(g[n] - exact) <= 1e-13 * size[n]), (level, seq.parts)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
