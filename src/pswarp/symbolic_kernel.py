@@ -219,33 +219,46 @@ def gamma_tables(max_level: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _factors(tables: tuple) -> tuple:
-    """(shifts, orders, starts): the beta~ factors of every sequence of tables, read-only.
+    """(shifts, which, orders, starts): the beta~ factors of every sequence of tables.
 
-    Sequence n, in table order, takes Dw to the power shifts[n] (its
-    dw_shift) and multiplies by D^m w for m in orders[n], padded to the
-    most parts with -1: an index to a 1.0 appended after the jets.  Table
-    t owns the sequences starts[t] .. starts[t + 1] - 1.
+    Sequence n, in table order, takes Dw to the power shifts[which[n]]
+    (its dw_shift; shifts lists the distinct ones as Python ints) and
+    multiplies by D^m w for m in orders[n], descending, padded to the most
+    parts with -1: an index to a 1.0 appended after the jets.  Table t
+    owns the sequences starts[t] .. starts[t + 1] - 1.  Arrays read-only.
     """
     seqs = [seq for table in tables for seq in table.seqs]
+    shifts = tuple(sorted({seq.dw_shift for seq in seqs}))
+    which = np.array([shifts.index(seq.dw_shift) for seq in seqs])
     orders = np.full((len(seqs), max(len(seq.parts) for seq in seqs)), -1)
     for n, seq in enumerate(seqs):
         orders[n, :len(seq.parts)] = [j + 1 for j in seq.parts]
-    shifts = np.array([seq.dw_shift for seq in seqs], dtype=np.float64)
     starts = np.cumsum([0] + [len(table.seqs) for table in tables])
-    for a in (shifts, orders, starts):
+    for a in (which, orders, starts):
         a.flags.writeable = False
-    return shifts, orders, starts
+    return shifts, which, orders, starts
 
 
 def _beta_free(jets: np.ndarray, tables: tuple) -> list:
     """beta~_{l,n} = Dw^dw_shift prod D^m w of every table on every row of jets.
 
     jets holds one-sided jet values D^m w per row, m = 0 .. l + 1 or more
-    for the deepest level l; one (rows, sequences) view per table.
+    for the deepest level l; one (rows, sequences) view per table.  Per
+    entry the operations of the scalar definition, in its order: Dw to an
+    integer power as a scalar power (the C library's pow, as numpy's
+    scalar power takes it), formed once per row and distinct shift, since
+    an array power may take a SIMD path whose bits differ by machine;
+    then one product per part, descending, where a padded part multiplies
+    by an exact 1.0.
     """
-    shifts, orders, starts = _factors(tables)
-    padded = np.concatenate([jets, np.ones((jets.shape[0], 1))], axis=1)
-    beta = jets[:, 1:2] ** shifts * np.prod(padded[:, orders], axis=2)
+    shifts, which, orders, starts = _factors(tables)
+    rows = jets.shape[0]
+    powers = np.array([[dw ** s for s in shifts] for dw in jets[:, 1].tolist()],
+                      dtype=np.float64).reshape(rows, len(shifts))
+    beta = powers[:, which]
+    padded = np.concatenate([jets, np.ones((rows, 1))], axis=1)
+    for col in orders.T:
+        beta *= padded[:, col]
     return [beta[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 

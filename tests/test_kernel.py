@@ -31,6 +31,7 @@ from pswarp.warp_map import (
     exponential_map,
     identity_map,
     piecewise_linear_map,
+    spline_map,
 )
 from pswarp.domain_indexing import domain_spec, singularity_decay_ratio
 from pswarp.dense_oracle import entry as oracle_entry, phi_derivative
@@ -375,6 +376,44 @@ def test_kernel_matches_fraction_collapse_bit_for_bit(b):
     bun = build_kernel(w, spec, b, R=6)
     for ker, ref in zip(bun.kernels, _kernel_by_fractions(w, spec, bun)):
         assert np.array_equal(ker.S, ref), (w.spec_json["type"], b)
+
+
+def _beta_free_value(jets, seq) -> float:
+    """beta~_{l,n} = Dw^dw_shift prod D^m w from one-sided jet values (jets[m])."""
+    val = jets[1] ** seq.dw_shift
+    for j in seq.parts:
+        val *= jets[j + 1]
+    return float(val)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 0.7123456789, 1.0])
+@pytest.mark.parametrize("w", [exponential_map(), cubic_seam_map(), spline_map(),
+                               piecewise_linear_map()],
+                         ids=["exp", "cubic", "spline", "pl"])
+def test_beta_table_matches_scalar_definition_bit_for_bit(w, b):
+    # one stack of jet rows, both sides of every jump, against the scalar
+    # definition one beta at a time: beta~ carries no b and keeps its bits,
+    # zero signs included; beta = Dw^b beta~, as the expansion scales it,
+    # is the scalar Dw^(b + shift) prod D^m w up to the rounding of the
+    # split power: two pows and one more product, and b + shift rounded
+    # in the exponent (|ln Dw| u/2 per unit of |b + shift|)
+    u = 2.0**-53
+    jets = np.array([w.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
+                     for xi in w.singularities for side in ("right", "left")])
+    dwb = np.array([dw ** b for dw in jets[:, 1]])
+    tables = gamma_tables(MAX_LEVEL_DEFAULT)
+    for table, got in zip(tables, symbolic_kernel._beta_free(jets, tables)):
+        level = table.seqs[0].level
+        ref = np.array([[_beta_free_value(row, seq) for seq in table.seqs] for row in jets])
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), (w.spec_json["type"], level)
+        full = np.array([[_beta_value(row, seq, b) for seq in table.seqs] for row in jets])
+        beta = dwb[:, None] * got
+        assert np.array_equal(beta == 0, full == 0), (w.spec_json["type"], level)
+        parts = np.array([len(seq.parts) for seq in table.seqs])
+        logs = np.abs(np.log(jets[:, 1]))[:, None]
+        bound = u * (2 * parts + 4 + logs * (parts + b)) * np.abs(full)
+        assert np.all(np.abs(beta - full) <= bound), (w.spec_json["type"], level)
 
 
 def _gamma_integers(num, b, ks):
