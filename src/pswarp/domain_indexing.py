@@ -28,7 +28,6 @@ __all__ = [
     "dirichlet_kernel",
     "DomainSpec",
     "SampledGrid",
-    "sampled_grid",
     "FeasibilityReport",
     "make_index_set",
     "symmetric_index_set",
@@ -117,19 +116,15 @@ def _resolve_b(spec, b):
     return b
 
 
-# sampled grids each map keeps (sampled_grid), least recently used dropped first
-GRID_RECORDS = 4
-
-
 @dataclass(frozen=True, eq=False)
 class SampledGrid:
     """A map's b-free record on the grid j/size, for one Dirichlet set.
 
     * ``samples``, the map on j/size (warp_map.Samples);
-    * ``dirichlet``, D(v_j - p/K) of kernel_set, K = kernel_set.N, a
+    * ``dirichlet``, D(w_j - p/K) of kernel_set, K = kernel_set.N, a
       (size, K) matrix made on first read, real on a symmetric set;
     * ``spread(index_set)``, the ``_nufft`` spreading plan of the values
-      v_j on a set, one per set, made on first use.
+      w_j on a set, one per set, made on first use.
 
     Every array is read-only.  A record holds arrays and plans only,
     never a spec, so the specs of one map and geometry share it whatever
@@ -151,26 +146,6 @@ class SampledGrid:
         if index_set not in self._spreads:
             self._spreads[index_set] = _nufft.spread(self.samples.values, index_set)
         return self._spreads[index_set]
-
-
-def sampled_grid(m, size, kernel_set) -> SampledGrid:
-    """m's SampledGrid on j/size for kernel_set, from m's own LRU.
-
-    m is a WarpMap or an InverseMap.  The records live on the map object,
-    so they are keyed by its identity (WarpMap == compares arrays), and
-    a map keeps at most GRID_RECORDS of them.
-    """
-    grids, key = m._grids, (size, kernel_set)
-    if key in grids:
-        grids.move_to_end(key)
-        return grids[key]
-    s = m.sample(np.arange(size) / size)
-    for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits)):
-        a.flags.writeable = False
-    grids[key] = SampledGrid(s, kernel_set)
-    if len(grids) > GRID_RECORDS:
-        grids.popitem(last=False)
-    return grids[key]
 
 
 @dataclass(frozen=True)
@@ -225,8 +200,19 @@ class DomainSpec:
 
     @cached_property
     def grid(self):
-        """The map's SampledGrid of (M, input set)."""
-        return sampled_grid(self.warp, self.M, self.input_set)
+        """The map's SampledGrid of (M, input set).
+
+        The map keeps one on itself, so it is keyed by the map's identity
+        (WarpMap == compares arrays); another geometry replaces it.
+        """
+        grid = self.warp._grid
+        if grid is None or grid.samples.points.size != self.M \
+                or grid.kernel_set != self.input_set:
+            s = self.warp.sample(np.arange(self.M) / self.M)
+            for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits)):
+                a.flags.writeable = False
+            grid = self.warp._grid = SampledGrid(s, self.input_set)
+        return grid
 
     @property
     def samples(self):

@@ -28,10 +28,10 @@ the appliers use.  The corrections and their duals' factors are rank-J R
 products L R (J jumps, R orders): ``_to_time_product`` crosses L and R one
 at a time, and the dense ``_to_time`` is left to the tests as referee.
 
-Every operator reads the map's b-free records, one per map and
+Every operator on w reads the map's b-free record, one per map and
 geometry whatever the b (``domain_indexing.SampledGrid``): the spec's
-``spec.samples`` and ``spec.dirichlet`` D, and for the inverse map v the
-SampledGrid of (N, output set) of the map's one InverseMap.  The weight,
+``spec.samples`` and ``spec.dirichlet`` D.  The inverse-map operators
+sample v per call, from the map's one InverseMap.  The weight,
 ``samples.weight(b)``, takes the mean of the one-sided values at grid
 points on a derivative jump, under which the periodic fold of the dense
 transform closes to machine precision.
@@ -46,7 +46,8 @@ values and phases, is b-free and kept on the same record, one per set
 evaluating the window again.  A sum over e^{-2 pi j n w(t_q)} is the
 conjugate of the sum of the conjugate coefficients over
 e^{+2 pi j n w(t_q)}, so ``apply_swf_freq`` reads the same plan of
-w(t_q) as ``apply_swf_time``.
+w(t_q) as ``apply_swf_time``; ``apply_swf_time_invmap`` samples v per
+call and plans it per call.
 """
 
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _nufft
-from .domain_indexing import TIME_WARPING, DomainSpec, _resolve_b, sampled_grid
+from .domain_indexing import TIME_WARPING, DomainSpec, _resolve_b, dirichlet_kernel
 
 __all__ = [
     "OperatorMatrix",
@@ -121,9 +122,9 @@ def _sampled(warp, spec, b):
 
 
 def _sampled_inverse(warp, spec, b, inverse):
-    """(b, grid, (Dv(p/N))^b): grid the inverse map's SampledGrid of (N, output set).
+    """(b, v(p/N), (Dv(p/N))^b) for the inverse map v, time warping only.
 
-    Time warping only; inverse None takes the map's one InverseMap.
+    inverse None takes the map's one InverseMap.
     """
     spec.require_map(warp)
     _require_tw(spec)
@@ -132,8 +133,8 @@ def _sampled_inverse(warp, spec, b, inverse):
     if inverse is not None and inverse.source is not warp:
         raise ValueError("inverse is not the inverse of this map")
     v = warp.inverse() if inverse is None else inverse
-    grid = sampled_grid(v, spec.N, spec.output_set)
-    return b, grid, grid.samples.weight(b)
+    s = v.sample(np.arange(spec.N) / spec.N)
+    return b, s.values, s.weight(b)
 
 
 def _interpolator(warp, spec, b):
@@ -243,8 +244,9 @@ def swf_time_invmap(warp, spec, b=None, inverse=None) -> OperatorMatrix:
     different matrices, so the product deviates from the identity by the
     sampling (aliasing) error of either factor.  Real, float64.
     """
-    b, grid, vwt = _sampled_inverse(warp, spec, b, inverse)
-    entries = vwt[None, :] * grid.dirichlet.T
+    b, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
+    args = vv[None, :] - (np.arange(spec.M) / spec.M)[:, None]
+    entries = vwt[None, :] * dirichlet_kernel(args, spec.output_set)
     entries /= np.sqrt(spec.M * spec.N)
     return OperatorMatrix("swf_time_invmap", b, spec, entries)
 
@@ -281,10 +283,11 @@ def apply_swf_time(warp, spec, x, b=None):
 
 
 def apply_swf_time_invmap(warp, spec, x, b=None, inverse=None):
-    _, grid, vwt = _sampled_inverse(warp, spec, b, inverse)
+    _, vv, vwt = _sampled_inverse(warp, spec, b, inverse)
     _require_vector(x, spec.N)
     # conj of sum_p Dv_p^b x_p e^{+2 pi j k v_p}, from the plan of +v
-    inner = _nufft.nufft_project(grid.spread(spec.output_set), vwt * np.conj(x))
+    inner = _nufft.nufft_project(_nufft.spread(vv, spec.output_set),
+                                 vwt * np.conj(x))
     out = _uniform_synthesis(inner, spec.output_set).conj()
     out /= np.sqrt(spec.M * spec.N)
     return out.real if np.isrealobj(x) else out

@@ -30,8 +30,10 @@ with c the table over binomials in k in place of powers (its Newton
 form, exact in integers, then rounded once per entry: GammaLevel.ratio).
 That is one float matmul per level (_contract), and each C entry is
 within about n u (|beta~| @ |c|) of its exact value, u = 2^-53 and n the
-level's sequence count.  A new b then costs one Horner pass in b and one
-in k over all levels stacked (_evaluate).  The binomial basis keeps the
+level's sequence count.  C depends on the map and R alone, so the map
+keeps it (Contraction, one per map, made on its first build_kernel).
+A new b then costs one Horner pass in b and one in k over all levels
+stacked (_evaluate).  The binomial basis keeps the
 integer roots of gamma exact (every gamma vanishes at k below its level,
 and at b = 0 up to its level plus its factor count), where the power
 basis in k cancels terms of size k^(2l); against a 40-digit reference
@@ -295,25 +297,58 @@ def _evaluate(C: np.ndarray, b: float, ks: np.ndarray) -> np.ndarray:
     return G
 
 
-def _expansion(jets: np.ndarray, b: float, ks: np.ndarray, tables: tuple) -> tuple:
-    """(alpha, live): alpha_{k,l} on every jet row, table and k in ks.
+@dataclass(frozen=True, eq=False)
+class Contraction:
+    """The b-free part of the expansion on a stack of jet rows, read-only.
 
-    alpha is (rows, tables, ks).  live lists the tables with a nonzero
-    beta~ on some row; only those are contracted, and the others' alpha
-    is exactly 0.  NaN or inf betas are not 0 and are kept.
+    live lists the tables with a nonzero beta~ on some row; only those
+    are contracted (C, one stacked _contract of the live tables, None
+    when none is live), and the others' alpha is exactly 0.  NaN or inf
+    betas are not 0 and are kept.
     """
-    betas = _beta_free(jets, tables)
-    live = [t for t, beta in enumerate(betas) if beta.any()]
-    alpha = np.zeros((jets.shape[0], len(tables), ks.size))
-    if not live:
-        return alpha, live
-    G = _evaluate(_contract(tuple(tables[t] for t in live), [betas[t] for t in live]),
-                  b, ks)
-    # Dw^b by numpy's scalar power, as the scalar reference forms it, so a
-    # level-0-only (piecewise-linear) S keeps the reference's bits
-    dwb = np.array([dw ** b for dw in jets[:, 1]], dtype=np.float64)
-    alpha[:, live] = dwb[:, None, None] * G
-    return alpha, live
+
+    jets: np.ndarray
+    tables: tuple
+    live: tuple
+    C: object
+
+    @classmethod
+    def of(cls, jets: np.ndarray, tables: tuple) -> "Contraction":
+        betas = _beta_free(jets, tables)
+        live = tuple(t for t, beta in enumerate(betas) if beta.any())
+        C = _contract(tuple(tables[t] for t in live),
+                      [betas[t] for t in live]) if live else None
+        for a in (jets, C):
+            if a is not None:
+                a.flags.writeable = False
+        return cls(jets, tables, live, C)
+
+    def alpha(self, b: float, ks: np.ndarray) -> np.ndarray:
+        """alpha_{k,l} on every jet row, table and k in ks: (rows, tables, ks)."""
+        alpha = np.zeros((self.jets.shape[0], len(self.tables), ks.size))
+        if not self.live:
+            return alpha
+        # Dw^b by numpy's scalar power, as the scalar reference forms it, so
+        # a level-0-only (piecewise-linear) S keeps the reference's bits
+        dwb = np.array([dw ** b for dw in self.jets[:, 1]], dtype=np.float64)
+        alpha[:, list(self.live)] = dwb[:, None, None] * _evaluate(self.C, b, ks)
+        return alpha
+
+
+def _map_contraction(warp, R: int) -> Contraction:
+    """warp's Contraction of its jump jets for R row orders.
+
+    Rows 2j and 2j + 1 are the right and left jets of jump j.  The map
+    keeps one on itself (keyed by its identity, as WarpMap == compares
+    arrays); an R that reaches another number of levels replaces it.
+    """
+    con = warp._contraction
+    if con is None or len(con.tables) != min(R, MAX_LEVEL_DEFAULT + 1):
+        jets = np.array([warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
+                         for xi in warp.singularities for side in ("right", "left")],
+                        dtype=np.float64).reshape(-1, MAX_LEVEL_DEFAULT + 2)
+        con = warp._contraction = Contraction.of(jets, gamma_tables(MAX_LEVEL_DEFAULT)[:R])
+    return con
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +395,13 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     """Assemble the jump kernels for every singularity of the map.
 
     All 2J one-sided jet rows (both sides of every jump) go through one
-    expansion (_expansion): each live level is contracted once against
-    the rows' beta~, and alpha at the R row orders comes from one Horner
-    pass in b and one in k; every jump's S band follows from it.  A level
-    whose beta~ are all exactly 0 is not contracted and its band stays
-    0: on a piecewise-linear map every jet past Dw is 0 and only level 0
-    is built.
+    expansion: each live level is contracted once against the rows'
+    beta~, on the map's first build at R (_map_contraction), and alpha
+    at the R row orders comes from one Horner pass in b and one in k;
+    every jump's S band follows from it.  A level whose beta~ are all
+    exactly 0 is not contracted and its band stays 0: on a
+    piecewise-linear map every jet past Dw is 0 and only level 0 is
+    built.
 
     Refuses when any one-sided decay ratio is at or below 1: the
     correction series would diverge there, and the sampling geometry has
@@ -394,10 +430,6 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     if R < 1:
         raise ValueError("R must be >= 1")
 
-    # rows 2j and 2j + 1: right and left jets of jump j
-    jets = np.array([warp.side_jets(xi, MAX_LEVEL_DEFAULT + 1, side)
-                     for xi in warp.singularities for side in ("right", "left")],
-                    dtype=np.float64).reshape(-1, MAX_LEVEL_DEFAULT + 2)
     jp = np.array([[Jp ** (-k) for k in range(R)] for Jp, _ in ratios]).reshape(-1, R)
     jm = np.array([[Jm ** (-k) for k in range(R)] for _, Jm in ratios]).reshape(-1, R)
     scale = -2j * math.pi * spec.row_radius
@@ -407,9 +439,9 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
     # at R = 80 the level cap 12 leaves 1.5e-6 where 16 reaches 5.3e-9,
     # likely because gamma_l(k) grows like k^(2l) (ROADMAP item 1)
     S = np.zeros((len(ratios), R, R), dtype=np.complex128)
-    alpha, live = _expansion(jets, b, np.arange(R, dtype=np.float64),
-                             gamma_tables(MAX_LEVEL_DEFAULT)[:R])
-    for level in live:
+    con = _map_contraction(warp, R)
+    alpha = con.alpha(b, np.arange(R, dtype=np.float64))
+    for level in con.live:
         k = np.arange(R - level)
         S[:, k + level, k] = scale ** (-level - 1) * (
             alpha[0::2, level, level:] * jp[:, k] - alpha[1::2, level, level:] * jm[:, k])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +124,11 @@ class WarpMap:
             raise ValueError("pieces must start at 0")
         self._classify()
         self._derivative_range()
-        # domain_indexing.sampled_grid's records, and the one inverse
-        self._grids = OrderedDict()
+        # b-free records kept with the map: its one SampledGrid
+        # (DomainSpec.grid), its one kernel Contraction
+        # (symbolic_kernel.build_kernel) and its one inverse
+        self._grid = None
+        self._contraction = None
         self._inverse = None
 
     # -- construction helpers ------------------------------------------------
@@ -284,7 +286,6 @@ class InverseMap:
         self.singularities = [eta for eta, _, _ in self._slope_jumps]
         self.min_dw = 1.0 / source.max_dw
         self.max_dw = 1.0 / source.min_dw
-        self._grids = OrderedDict()  # domain_indexing.sampled_grid's records
 
     def eval(self, y):
         """v(y) with |w(v) - y| <= 1e-14, vectorized."""
@@ -327,7 +328,7 @@ class InverseMap:
         return Samples(y, v, 1.0 / self.source.deriv1(v), _jump_hits(y, self._slope_jumps))
 
     def sampled_weight(self, y, b):
-        """(Dv)^b on y, sample(y).weight(b); the inverse-map operators read a SampledGrid."""
+        """(Dv)^b on y, sample(y).weight(b); the inverse-map operators sample per call."""
         return _sampled_weight(self, y, b)
 
 
@@ -351,11 +352,11 @@ def _jump_hits(x, jumps):
 class Samples:
     """A map on sample points: values, slopes and slope-jump hits, all b-free.
 
-    A map's SampledGrid holds the one every operator reads.  weight(b)
-    holds the one-sided mean rule: a point on a slope jump takes the mean
-    of the one-sided (Dw)^b, where its Fourier series converges; only then
-    does the discrete operator fold onto the analytic aliasing tails
-    exactly.
+    A map's SampledGrid holds the one its specs' operators read; the
+    inverse-map operators sample v per call.  weight(b) holds the
+    one-sided mean rule: a point on a slope jump takes the mean of the
+    one-sided (Dw)^b, where its Fourier series converges; only then does
+    the discrete operator fold onto the analytic aliasing tails exactly.
     """
 
     points: np.ndarray

@@ -224,7 +224,7 @@ def _alphas(warp, x, side, b, k, top):
     """alpha_{k,l} at one side of x for l = 0 .. top, from the contraction."""
     jets = warp.side_jets(x, MAX_LEVEL_DEFAULT + 1, side)
     tables = gamma_tables(MAX_LEVEL_DEFAULT)[:top + 1]
-    alpha, _ = symbolic_kernel._expansion(jets[None], b, np.array([float(k)]), tables)
+    alpha = symbolic_kernel.Contraction.of(jets[None], tables).alpha(b, np.array([float(k)]))
     return alpha[0, :, 0], jets
 
 
@@ -503,15 +503,14 @@ def test_kernel_matches_the_exact_expansion(b):
     # the contraction rounds the table once and sums in floats, so S is
     # not the exact table's bit for bit; per level it is within 1e-11 of
     # that level's largest exact entry, plus 2e-14 max|S|, and every entry
-    # within 16 u of its condition sum.  The level bound is asserted where
-    # the exact-collapse code this replaced met it as well: on the cubic
-    # seam at N = 9, R = 20 that code evaluated gamma in powers of k near
-    # its integer roots and missed it by 5x at level 11, though not the
-    # condition bound
-    cases = [(exponential_map(), 33, 67, None, True),
-             (cubic_seam_map(), 33, 67, None, True),
-             (cubic_seam_map(), 9, 31, 20, False)]
-    for w, N, M, R, per_level in cases:
+    # within 16 u of its condition sum.  The cubic seam at N = 9, R = 20
+    # reaches level 12 at k up to 19, where gamma in powers of k cancels
+    # terms of size k^(2l); the binomial basis keeps it within the level
+    # bound there too
+    cases = [(exponential_map(), 33, 67, None),
+             (cubic_seam_map(), 33, 67, None),
+             (cubic_seam_map(), 9, 31, 20)]
+    for w, N, M, R in cases:
         spec = domain_spec(w, N, M, b=b)
         bun = build_kernel(w, spec, b, R=R)
         R = bun.rows
@@ -520,12 +519,10 @@ def test_kernel_matches_the_exact_expansion(b):
                              for k in range(R)] for i in range(R)])
             ref = np.array([[abs(complex(S[i, k])) for k in range(R)] for i in range(R)])
             assert np.all(err <= 16 * 2.0**-53 * E), (w.spec_json["type"], N)
-            if not per_level:
-                continue
             for level in range(R):
                 band = np.arange(level, R), np.arange(R - level)
                 assert np.all(err[band] <= 1e-11 * ref[band].max() + 2e-14 * ref.max()), \
-                    (w.spec_json["type"], level)
+                    (w.spec_json["type"], N, level)
 
 
 def _count_contractions(monkeypatch):
@@ -563,6 +560,28 @@ def test_smooth_jets_collapse_every_reachable_level(monkeypatch, R):
     levels = _count_contractions(monkeypatch)
     build_kernel(w, spec, R=R)
     assert levels == list(range(min(R, MAX_LEVEL_DEFAULT + 1)))
+
+
+def test_a_map_contracts_once_for_every_b(monkeypatch):
+    # C depends on the map and R alone: the builds at b and 1 - b of a
+    # dual, and any later b, read the map's one contraction; another R
+    # beyond the level cap reads it too, a smaller R replaces it
+    w = cubic_seam_map()
+    spec = domain_spec(w, 9, 31, b=0.3)
+    levels = _count_contractions(monkeypatch)
+    buns = [build_kernel(w, spec, b, R=20) for b in (0.3, 0.7, 0.5)]
+    build_kernel(w, spec, 0.3, R=64)
+    assert levels == list(range(MAX_LEVEL_DEFAULT + 1))
+    con = w._contraction
+    assert not con.C.flags.writeable and not con.jets.flags.writeable
+    build_kernel(w, spec, 0.3, R=6)
+    assert levels == list(range(MAX_LEVEL_DEFAULT + 1)) + list(range(6))
+    assert w._contraction is not con
+    for b, bun in zip((0.3, 0.7, 0.5), buns):
+        fresh = cubic_seam_map()
+        ref = build_kernel(fresh, domain_spec(fresh, 9, 31, b=0.3), b, R=20)
+        for ker, ref_ker in zip(bun.kernels, ref.kernels):
+            assert ker.S.tobytes() == ref_ker.S.tobytes()
 
 
 def _forward_differences(values):

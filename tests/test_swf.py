@@ -493,18 +493,6 @@ def test_spec_shared_arrays_are_read_only():
             a[0] = a[0]
 
 
-def test_inverse_grid_arrays_are_read_only():
-    w = wm.exponential_map()
-    spec = tw_spec(w, 9, 19)
-    swf.apply_swf_time_invmap(w, spec, np.ones(9))
-    grid = di.sampled_grid(w.inverse(), 9, spec.output_set)
-    s, plan = grid.samples, grid.spread(spec.output_set)
-    for a in (s.points, s.values, s.slopes, *(hit[0] for hit in s.hits),
-              grid.dirichlet, plan.cells, plan.window, plan.phase):
-        with pytest.raises(ValueError):
-            a[0] = a[0]
-
-
 def _outputs(w, spec, X):
     """Every sampled operator of a time-warping spec on the columns of X."""
     x, xc = X[:, 0], X[:, 1] + 1j * X[:, 2]
@@ -514,9 +502,10 @@ def _outputs(w, spec, X):
             swf.apply_swf_time_invmap(w, spec, x)]
 
 
-def test_specs_of_one_map_share_its_sampled_grids(monkeypatch):
-    # three values of b on one map and geometry: one sampling, one
-    # Dirichlet matrix and one plan per set, for the map and its inverse
+def test_specs_of_one_map_share_its_sampled_grid(monkeypatch):
+    # three values of b on one map and geometry: one sampling of w, one
+    # Dirichlet matrix and one plan per set; the inverse-map operators
+    # sample and plan v per call
     calls = []
 
     def counted(name, fn, size):
@@ -528,6 +517,8 @@ def test_specs_of_one_map_share_its_sampled_grids(monkeypatch):
                         counted("inverse sample", wm.InverseMap.sample, lambda a: a[1].size))
     monkeypatch.setattr(di, "dirichlet_kernel",
                         counted("dirichlet", di.dirichlet_kernel, lambda a: a[0].shape))
+    monkeypatch.setattr(swf, "dirichlet_kernel",
+                        counted("inverse dirichlet", swf.dirichlet_kernel, lambda a: a[0].shape))
     monkeypatch.setattr(_nufft, "spread",
                         counted("spread", _nufft.spread, lambda a: (a[0].size, a[1])))
     w = wm.exponential_map()
@@ -535,10 +526,11 @@ def test_specs_of_one_map_share_its_sampled_grids(monkeypatch):
     bs = (0.3, 0.5, 0.7)
     got = [_outputs(w, tw_spec(w, 33, 67, b), X) for b in bs]
     inp, out = di.symmetric_index_set(33), di.symmetric_index_set(67)
+    per_call = [("inverse sample", 33), ("inverse sample", 33),
+                ("inverse dirichlet", (67, 33)), ("spread", (33, out))]
     assert sorted(calls, key=repr) == sorted([
-        ("sample", 67), ("inverse sample", 33),
-        ("dirichlet", (67, 33)), ("dirichlet", (33, 67)),
-        ("spread", (67, inp)), ("spread", (67, out)), ("spread", (33, out))], key=repr)
+        ("sample", 67), ("dirichlet", (67, 33)),
+        ("spread", (67, inp)), ("spread", (67, out))] + 3 * per_call, key=repr)
     for b, ours in zip(bs, got):
         fresh = wm.exponential_map()
         for a, ref in zip(ours, _outputs(fresh, tw_spec(fresh, 33, 67, b), X)):
@@ -555,24 +547,21 @@ def test_an_equal_map_shares_no_sampled_grid():
     assert spec.spread(spec.input_set) is not twin_spec.spread(twin_spec.input_set)
     assert w.inverse() is not twin.inverse()
     assert w.inverse() is w.inverse()
-    assert (di.sampled_grid(w.inverse(), 9, spec.output_set)
-            is not di.sampled_grid(twin.inverse(), 9, spec.output_set))
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-def test_sampled_grids_keep_at_most_their_bound(inverse):
+def test_a_map_keeps_one_sampled_grid():
+    # another geometry replaces the map's record; a spec keeps the one
+    # it read, and a new spec of the first geometry samples again
     w = wm.piecewise_linear_map()
-    m = w.inverse() if inverse else w
-    sizes = [9, 11, 13, 15, 17, 19]
-    kernel_set = di.symmetric_index_set(5)
-    first = di.sampled_grid(m, sizes[0], kernel_set)
-    for size in sizes[1:]:
-        di.sampled_grid(m, size, kernel_set)
-        # the first record is read again each round, so it stays the newest
-        assert di.sampled_grid(m, sizes[0], kernel_set) is first
-        assert len(m._grids) <= di.GRID_RECORDS
-    # the least recently used went first: 11, then 13; 9 is the newest
-    assert [size for size, _ in m._grids] == [15, 17, 19, 9]
+    first = tw_spec(w, 9, 19)
+    grid = first.grid
+    assert w._grid is grid
+    second = tw_spec(w, 11, 23)
+    assert second.grid is not grid and w._grid is second.grid
+    assert first.grid is grid
+    again = tw_spec(w, 9, 19, b=0.3)
+    assert again.grid is not grid and w._grid is again.grid
+    assert again.samples.values.tobytes() == grid.samples.values.tobytes()
 
 
 def test_inverse_none_brackets_the_map_once(monkeypatch):
@@ -588,7 +577,7 @@ def test_inverse_none_brackets_the_map_once(monkeypatch):
     assert made == [w]
     fresh = wm.exponential_map()
     fresh_spec = tw_spec(fresh, 33, 67, b=0.4)
-    own = wm.InverseMap(fresh)  # not the map's one: its own bracket and grid
+    own = wm.InverseMap(fresh)  # not the map's one: its own bracket
     ref = swf.apply_swf_time_invmap(fresh, fresh_spec, x, inverse=own)
     ref_dense = swf.swf_time_invmap(fresh, fresh_spec, inverse=own).entries
     for a, d in zip(got, dense):
