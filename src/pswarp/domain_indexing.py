@@ -30,7 +30,6 @@ __all__ = [
     "SampledGrid",
     "FeasibilityReport",
     "make_index_set",
-    "symmetric_index_set",
     "domain_spec",
     "check_feasibility",
     "singularity_decay_ratio",
@@ -75,10 +74,6 @@ class IndexSet:
         # balanced set still carries the unmatched -N/2 element
         return self.N % 2 == 1 and self.z_left == self.z_right
 
-    def contains(self, k):
-        k = np.asarray(k)
-        return (-self.L <= k) & (k <= self.N - self.L - 1)
-
 
 def dirichlet_kernel(x, index_set):
     """Sum of e^{2 pi j n x} over a contiguous index set.
@@ -101,11 +96,6 @@ def dirichlet_kernel(x, index_set):
 
 def make_index_set(N, L) -> IndexSet:
     return IndexSet(int(N), int(L))
-
-
-def symmetric_index_set(N) -> IndexSet:
-    """The balanced set; for odd N this is {-(N-1)/2, ..., (N-1)/2}."""
-    return IndexSet(int(N), int(N) // 2)
 
 
 def _resolve_b(spec, b):

@@ -9,6 +9,11 @@ linear solve in that compressed space.  The result is a dual matrix
 that reconstructs exactly from the corrected forward operator, at the
 cost of one extra rank-limited correction factor.
 
+The series converges exactly when the compressed tail product K has
+spectral radius below one.  ``compute_Z`` forms K once; the refusal
+(ValueError when the radius is at or above one) and the solve both read
+that one K, so the accept/refuse decision has a single definition.
+
 Weight convention: ``dual_W_f(warp, spec, b)`` returns the operator D
 with D' W_f^(b) = I.  D itself carries the conjugate exponent 1 - b in
 its quadrature weight; the correction factor mixes both kernels.
@@ -70,60 +75,44 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     return G
 
 
-def _spectral_radius(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> float:
-    """Spectral radius of the compressed tail product H_dual H' G.
+def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gate and resum the compressed tail-product series: (Z, radius).
 
-    (H' G) H_dual has the same nonzero eigenvalues and is N x N against
-    (J R) x (J R), so the eigenvalues come from the smaller of the two.
-    """
-    HG = H.conj().T @ G
-    C = H_dual @ HG if H.shape[0] <= H.shape[1] else HG @ H_dual
-    return float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
-
-
-def compute_Z(H: np.ndarray, G: np.ndarray,
-              H_dual: np.ndarray = None, *, radius: float = None) -> np.ndarray:
-    """Resum the compressed tail-product series in closed form.
-
-    Returns Z = G (I - H_dual H' G)^(-1), which satisfies
+    Z = G (I - H_dual H' G)^(-1) satisfies
 
         sum_{k>=1} (E' E_dual)^k = H' Z H_dual
 
     for tail operators E = Yhat H and E_dual = Yhat H_dual sharing the
-    phased inverse-power rows Yhat with Gram G.  H defaults to both
-    roles at the self-dual weight 1/2.
+    phased inverse-power rows Yhat with Gram G.
 
-    The solve runs in the smaller of the two spaces, as the radius does.
-    With n = J R rows and N columns in H, n <= N solves the n x n system
-    Z (I - H_dual H' G) = G.  For n > N it solves N x N instead: with
-    HG = H' G and K = HG H_dual, push-through gives
-    (I - H_dual HG)^(-1) = I + H_dual (I - K)^(-1) HG, so
-    Z = G + (G H_dual) (I - K)^(-1) HG.
+    The gate and the solve read one product K, formed once with
+    HG = H' G in the smaller of two spaces that share its nonzero
+    eigenvalues.  With n = J R rows and N columns in H, n <= N takes the
+    n x n K = H_dual HG and solves Z (I - K) = G; n > N takes the N x N
+    K = HG H_dual and, by push-through
+    (I - H_dual HG)^(-1) = I + H_dual (I - K)^(-1) HG, forms
+    Z = G + (G H_dual) (I - K)^(-1) HG.  radius is the exact spectral
+    radius of K from its eigenvalues, not a bound.
 
-    Raises ValueError when the compressed product has spectral radius
-    at or above one: the series diverges there, which happens exactly
-    when the sampling geometry is too tight for the correction
-    feasibility (decay ratios near one leave too much tail energy).  A
-    caller that already has that radius passes it, so the eigenvalues
-    are computed once.
+    Raises ValueError, before any solve, when that radius is at or
+    above one: the series diverges there, which happens exactly when
+    the sampling geometry is too tight for the correction feasibility
+    (decay ratios near one leave too much tail energy).
     """
-    if H_dual is None:
-        H_dual = H
-    if radius is None:
-        radius = _spectral_radius(H, G, H_dual)
+    n, N = H.shape
+    HG = H.conj().T @ G
+    K = H_dual @ HG if n <= N else HG @ H_dual
+    radius = float(np.max(np.abs(np.linalg.eigvals(K)), initial=0.0))
     if radius >= 1.0:
         raise ValueError(
             "dual correction series diverges: compressed tail product has "
             f"spectral radius {radius:.3g} >= 1; the sampling geometry is "
             "outside the feasibility range for an analytic dual")
-    n, N = H.shape
+    B = np.eye(K.shape[0]) - K
     if n > N:
-        HG = H.conj().T @ G
-        K = HG @ H_dual
-        return G + (G @ H_dual) @ np.linalg.solve(np.eye(N) - K, HG)
-    B = np.eye(n, dtype=np.complex128) - H_dual @ H.conj().T @ G
+        return G + (G @ H_dual) @ np.linalg.solve(B, HG), radius
     # solve Z B = G by the transposed system; LU with partial pivoting
-    return np.linalg.solve(B.T, G.T).T
+    return np.linalg.solve(B.T, G.T).T, radius
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,10 @@ class DualFactorization:
     out-of-band indices; Z resums the resulting Neumann series.  The
     dual correction factor applied to the conjugate-weight operator is
     I + H' Z H_dual: the identity plus a rank-J R product.
+
+    spectral_radius is the exact spectral radius of the compressed
+    product K that Z was solved with (compute_Z: the eigenvalues of that
+    same K), not a bound; a build with it at or above one is refused.
     """
 
     b: float
@@ -171,8 +164,7 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     fact = saf._factorization(warp, spec, b, fact)
     fact_dual = saf._reweighted_factorization(warp, fact, b_dual)
     G = tail_row_gram(fact)
-    radius = _spectral_radius(fact.H, G, fact_dual.H)
-    Z = compute_Z(fact.H, G, fact_dual.H, radius=radius)
+    Z, radius = compute_Z(fact.H, G, fact_dual.H)
     return DualFactorization(b=b, b_dual=b_dual, G=G, Z=Z, spectral_radius=radius,
                              fact=fact, fact_dual=fact_dual)
 

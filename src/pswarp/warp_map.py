@@ -211,9 +211,6 @@ class WarpMap:
         w = w.reshape(np.shape(x))
         return float(w[()]) if scalar else w
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def deriv1(self, x):
         """First derivative, vectorized; at breakpoints gives the right side."""
         x = np.asarray(x, dtype=float)
@@ -314,9 +311,6 @@ class InverseMap:
             x = np.where(done, x, xn)
         out = (x + n).reshape(np.shape(y))
         return float(out[()]) if scalar else out
-
-    def __call__(self, y):
-        return self.eval(y)
 
     def deriv1(self, y):
         """Dv(y) = 1 / Dw(v(y))."""

@@ -185,7 +185,7 @@ def test_diverging_series_is_refused():
     Hbad = np.array([[2.0 + 0.0j]])
     Gbad = np.array([[1.0 + 0.0j]])
     with pytest.raises(ValueError, match="spectral radius"):
-        compute_Z(Hbad, Gbad)
+        compute_Z(Hbad, Gbad, Hbad)
     # a real geometry that overwhelms the expansion: decay ratio 1.16
     w = cubic_seam_map()
     spec = domain_spec(w, 33, 67, b=0.5)
@@ -251,9 +251,6 @@ def test_dual_build_computes_the_radius_once(monkeypatch):
     dfact = build_dual_factorization(w, spec, fact=fact)
     assert len(calls) == 1
     assert 0.0 < dfact.spectral_radius < 1.0
-    # a radius handed to compute_Z is still checked
-    with pytest.raises(ValueError, match="spectral radius"):
-        compute_Z(dfact.H, dfact.G, dfact.H_dual, radius=1.0)
 
 
 def test_dual_radius_from_the_smaller_product(monkeypatch):
@@ -289,7 +286,7 @@ def test_resummation_solves_in_the_smaller_space(monkeypatch):
         calls = []
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: calls.append(a.shape) or solve(a, b))
-        Z = compute_Z(H, G, H_dual, radius=dfact.spectral_radius)
+        Z, _ = compute_Z(H, G, H_dual)
         monkeypatch.undo()
         assert calls == [(side, side)]
         n = H.shape[0]
@@ -298,15 +295,35 @@ def test_resummation_solves_in_the_smaller_space(monkeypatch):
 
 
 def test_diverging_series_is_refused_before_any_solve(monkeypatch):
-    w, spec = _pl_freq()
-    dfact = build_dual_factorization(w, spec)
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape))
+    Hbad = np.array([[2.0 + 0.0j]])
     with pytest.raises(ValueError, match="spectral radius"):
-        compute_Z(dfact.H, dfact.G, dfact.H_dual, radius=1.0)
-    with pytest.raises(ValueError, match="spectral radius"):
-        compute_Z(np.array([[2.0 + 0.0j]]), np.eye(1, dtype=complex))
+        compute_Z(Hbad, np.eye(1, dtype=complex), Hbad)
     assert calls == []
+
+
+def test_gate_and_solve_read_one_product(monkeypatch):
+    # the radius gate and the resummation read the same K, bit for bit:
+    # the solve's matrix is I - K of the eigvals call (transposed when
+    # K is the J R-square H_dual H'G), on both sides of n = N
+    w = exponential_map()
+    cases = [_pl_freq(), (w, domain_spec(w, 129, 259, b=0.5))]
+    eigvals, solve = np.linalg.eigvals, np.linalg.solve
+    for warp, spec in cases:
+        fact = build_factorization(warp, spec, 0.5)
+        seen, solved = [], []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda C: seen.append(C.copy()) or eigvals(C))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solved.append(a.copy()) or solve(a, b))
+        dfact = build_dual_factorization(warp, spec, fact=fact)
+        monkeypatch.undo()
+        assert len(seen) == 1 and len(solved) == 1
+        (K,), (B,) = seen, solved
+        if dfact.H.shape[0] <= spec.N:
+            B = B.T
+        assert np.array_equal(B, np.eye(K.shape[0]) - K)
 
 
 # ---------------------------------------------------------------------------

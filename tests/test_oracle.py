@@ -29,7 +29,7 @@ def fw_interpolation_matrix(w, sp, b):
 
 def test_identity_map_is_kronecker():
     w = wm.identity_map()
-    idx = di.symmetric_index_set(9).indices
+    idx = di.make_index_set(9, 9 // 2).indices
     W = dox.matrix(w, idx, idx, 0.37)
     np.testing.assert_allclose(W, np.eye(9), atol=1e-13)
 
@@ -102,7 +102,7 @@ def test_row_energy_b_half():
     # sum falls short of 1 by the analytic tail of the first-order jump decay
     w = wm.exponential_map()
     M, K = 19, 8 * 19
-    n = di.symmetric_index_set(9).indices
+    n = di.make_index_set(9, 9 // 2).indices
     m = np.arange(-K, K + 1)
     W = dox.matrix(w, m, n, 0.5)
     energy = (np.abs(W) ** 2).sum(axis=0)
@@ -116,7 +116,7 @@ def test_row_energy_smooth_map():
     # one more derivative of decay makes the truncation loss negligible
     w = wm.cubic_seam_map()
     M, K = 19, 8 * 19
-    n = di.symmetric_index_set(9).indices
+    n = di.make_index_set(9, 9 // 2).indices
     W = dox.matrix(w, np.arange(-K, K + 1), n, 0.5)
     energy = (np.abs(W) ** 2).sum(axis=0)
     assert np.abs(energy - 1.0).max() < 1e-6

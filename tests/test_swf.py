@@ -525,7 +525,7 @@ def test_specs_of_one_map_share_its_sampled_grid(monkeypatch):
     X = np.random.default_rng(12).standard_normal((33, 3))
     bs = (0.3, 0.5, 0.7)
     got = [_outputs(w, tw_spec(w, 33, 67, b), X) for b in bs]
-    inp, out = di.symmetric_index_set(33), di.symmetric_index_set(67)
+    inp, out = di.make_index_set(33, 33 // 2), di.make_index_set(67, 67 // 2)
     per_call = [("inverse sample", 33), ("inverse sample", 33),
                 ("inverse dirichlet", (67, 33)), ("spread", (33, out))]
     assert sorted(calls, key=repr) == sorted([
@@ -630,8 +630,8 @@ def test_time_and_frequency_appliers_share_one_plan_of_the_warped_grid(monkeypat
 
 def test_dirichlet_kernel_is_real_on_a_symmetric_set():
     x = np.linspace(-1.5, 1.5, 41)
-    sym = di.symmetric_index_set(9)
+    sym = di.make_index_set(9, 9 // 2)
     assert di.dirichlet_kernel(x, sym).dtype == np.float64
     assert di.dirichlet_kernel(x, di.make_index_set(9, 2)).dtype == np.complex128
     # the even balanced set keeps its unmatched -N/2 element
-    assert di.dirichlet_kernel(x, di.symmetric_index_set(8)).dtype == np.complex128
+    assert di.dirichlet_kernel(x, di.make_index_set(8, 8 // 2)).dtype == np.complex128
