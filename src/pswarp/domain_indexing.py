@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "domain_spec",
     "check_feasibility",
     "singularity_decay_ratio",
-    "resample_even_to_odd",
 ]
 
 TIME_WARPING = "time_warping"
@@ -223,21 +223,6 @@ class DomainSpec:
         if warp is not self.warp:
             raise ValueError("map is not the spec's map; build the spec from it")
 
-    def describe(self):
-        f = self.feasibility
-        return {
-            "N": self.N,
-            "L_N": self.input_set.L,
-            "mu_N": self.input_set.mu,
-            "M": self.M,
-            "L_M": self.output_set.L,
-            "mu_M": self.output_set.mu,
-            "mode": self.mode,
-            "b": self.b,
-            "feasible_swf": f.swf_feasible,
-            "feasible_saf": f.saf_feasible,
-        }
-
 
 def domain_spec(warp, N, M, L_N=None, L_M=None, mode=FREQUENCY_WARPING, b=0.5) -> DomainSpec:
     inp = make_index_set(N, N // 2 if L_N is None else L_N)
@@ -245,8 +230,10 @@ def domain_spec(warp, N, M, L_N=None, L_M=None, mode=FREQUENCY_WARPING, b=0.5) -
     return DomainSpec(warp, inp, out, mode=mode, b=b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityReport:
+    """check_feasibility's findings for one spec; read-only, J and failures included."""
+
     max_dw: float
     redundancy: float  # M/N
     redundancy_ok: bool  # global test M/N >= max Dw, up to one rounding
@@ -254,24 +241,10 @@ class FeasibilityReport:
     ratio_positive: float  # z_right(M)/z_right(N)
     signed_ok: bool  # both signed band-coverage tests, same edge
     swf_feasible: bool  # what the sampled operators accept: both tests
-    J: dict  # singularity -> decay ratio (conservative one-sided max slope)
+    J: MappingProxyType  # singularity -> decay ratio (conservative one-sided max slope)
     J_min: float
     saf_feasible: bool
-    failures: list
-
-    def summary(self):
-        lines = [
-            f"redundancy M/N = {self.redundancy:.6g} vs max Dw = {self.max_dw:.6g}: "
-            + ("ok" if self.redundancy_ok else "FAIL"),
-            f"signed coverage ratios (neg, pos) = ({self.ratio_negative:.6g}, "
-            f"{self.ratio_positive:.6g}): " + ("ok" if self.signed_ok else "FAIL"),
-        ]
-        for xi, j in self.J.items():
-            lines.append(
-                f"singularity x={xi:.12g}: J = {j:.6g} "
-                + ("ok" if j > 1 else "FAIL (aliasing correction diverges)")
-            )
-        return "\n".join(lines)
+    failures: tuple
 
 
 def singularity_decay_ratio(warp, spec, xi, side=None):
@@ -343,31 +316,8 @@ def check_feasibility(spec: DomainSpec) -> FeasibilityReport:
         ratio_positive=r_pos,
         signed_ok=signed_ok,
         swf_feasible=swf_ok,
-        J=J,
+        J=MappingProxyType(J),
         J_min=J_min,
         saf_feasible=saf_ok,
-        failures=failures,
+        failures=tuple(failures),
     )
-
-
-def resample_even_to_odd(s):
-    """Resample N even uniform samples to N+1, splitting the N/2 bin.
-
-    The even-length DFT stores a single coefficient for the Nyquist pair;
-    splitting it equally over +N/2 and -N/2 yields the unique symmetric
-    (N+1)-coefficient expansion, which one inverse FFT of length N+1
-    evaluates on the finer uniform grid.  Real input stays real to
-    roundoff.
-    """
-    s = np.asarray(s)
-    N = s.shape[0]
-    if N % 2 != 0:
-        raise ValueError("input length must be even")
-    c = np.fft.fft(s) / N  # c[k] multiplies e^{2 pi j k x}, k = 0..N-1
-    half = N // 2
-    # bins 0..half-1, the split pair at +-half, then the negative bins
-    coeff = np.concatenate([c[:half], [0.5 * c[half]] * 2, c[half + 1:]])
-    out = np.fft.ifft(coeff) * (N + 1)
-    if np.isrealobj(s):
-        return out.real
-    return out

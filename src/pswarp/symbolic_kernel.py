@@ -86,10 +86,6 @@ class Sequence:
         """p_m: how many factors D^m w the sequence carries (m >= 2)."""
         return sum(1 for j in self.parts if j + 1 == m)
 
-    def factor_orders(self) -> tuple:
-        """Derivative orders of the factors, e.g. (2, 2, 3)."""
-        return tuple(sorted(j + 1 for j in self.parts))
-
 
 def _partitions(total: int, cap: int = None):
     if total == 0:
@@ -370,8 +366,6 @@ class SingularityKernel:
 class KernelBundle:
     b: float
     rows: int  # R: number of jump orders kept
-    row_radius: float  # DomainSpec.row_radius
-    col_radius: float  # DomainSpec.col_radius
     kernels: list
 
     @property
@@ -456,98 +450,4 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         )
         for xi, S_j, (Jp, Jm) in zip(warp.singularities, S, ratios)
     ]
-    return KernelBundle(
-        b=b,
-        rows=R,
-        row_radius=spec.row_radius,
-        col_radius=spec.col_radius,
-        kernels=kernels,
-    )
-
-
-# ---------------------------------------------------------------------------
-# exact-table export
-
-
-def tables_as_json(max_level: int = 4) -> dict:
-    """Level tables with exact rational polynomial strings."""
-    out = {"levels": []}
-    for level, table in enumerate(gamma_tables(max_level)):
-        entries = []
-        for n, (seq, num) in enumerate(zip(table.seqs, table.num), start=1):
-            entries.append(
-                {
-                    "index": n,
-                    "derivative_factors": list(seq.factor_orders()),
-                    "dw_exponent_shift": seq.dw_shift,
-                    "polynomial": _poly_string(table.den, num),
-                }
-            )
-        out["levels"].append({"level": level, "sequences": entries})
-    return out
-
-
-def _poly_string(den: int, num: np.ndarray) -> str:
-    """Exact form of sum_ij num[i, j] b^i k^j / den, descending k powers.
-
-    Examples: "1/2 k^2 + (b - 1/2) k", "0", "b - 1/2".
-    """
-    parts = []
-    for j in range(num.shape[1] - 1, -1, -1):
-        bcoef = {i: Fraction(v, den) for i, v in enumerate(num[:, j]) if v}
-        if not bcoef:
-            continue
-        ks = _power("k", j)
-        if len(bcoef) == 1:
-            # a single b power: its sign can be pulled out
-            (i, v), = bcoef.items()
-            parts.append((v < 0, _join_coef(abs(v), f"{_power('b', i)} {ks}".strip())))
-        else:
-            inner = _signed_sum([(v < 0, _join_coef(abs(v), _power("b", i)))
-                                 for i, v in sorted(bcoef.items(), reverse=True)])
-            parts.append((False, f"({inner}) {ks}" if ks else inner))
-    return _signed_sum(parts) if parts else "0"
-
-
-def _power(name: str, p: int) -> str:
-    return "" if p == 0 else (name if p == 1 else f"{name}^{p}")
-
-
-def _join_coef(frac, suffix):
-    if not suffix:
-        return str(frac)
-    if frac == 1:
-        return suffix
-    return f"{frac} {suffix}"
-
-
-def _signed_sum(parts) -> str:
-    """Join (negative, text) terms with their signs."""
-    (neg0, text0), rest = parts[0], parts[1:]
-    out = ("-" + text0) if neg0 else text0
-    for neg, text in rest:
-        out += (" - " if neg else " + ") + text
-    return out
-
-
-def kernel_as_json(bundle: KernelBundle) -> dict:
-    ker = []
-    for k in bundle.kernels:
-        ker.append(
-            {
-                "x": k.xi,
-                "image": k.image,
-                "J_plus": k.J_plus,
-                "J_minus": k.J_minus,
-                "S_real": k.S.real.tolist(),
-                "S_imag": k.S.imag.tolist(),
-            }
-        )
-    return {
-        "weight_exponent": bundle.b,
-        "rows": bundle.rows,
-        "max_level": MAX_LEVEL_DEFAULT,
-        "row_radius": bundle.row_radius,
-        "col_radius": bundle.col_radius,
-        "singularities": ker,
-    }
+    return KernelBundle(b=b, rows=R, kernels=kernels)

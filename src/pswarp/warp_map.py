@@ -13,7 +13,6 @@ no finite differencing happens anywhere downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,16 +24,12 @@ __all__ = [
     "WarpMap",
     "InverseMap",
     "Samples",
-    "ValidationReport",
     "identity_map",
     "exponential_map",
     "piecewise_linear_map",
     "spline_map",
     "atan_tan_map",
     "cubic_seam_map",
-    "map_from_json",
-    "map_to_json",
-    "builtin_map",
     "BUILTIN_MAPS",
 ]
 
@@ -110,7 +105,6 @@ class Piece:
 @dataclass
 class WarpMap:
     pieces: list
-    spec_json: dict
     breakpoints: np.ndarray = field(init=False)
     singularities: list = field(init=False)
     singularity_classes: dict = field(init=False)
@@ -258,9 +252,6 @@ class WarpMap:
             self._inverse = InverseMap(self)
         return self._inverse
 
-    def to_json(self):
-        return dict(self.spec_json)
-
 
 class InverseMap:
     """Inverse v = w^{-1}, evaluated by bracketed Newton iteration.
@@ -373,71 +364,23 @@ def _sampled_weight(m, x, b):
     return float(out[0]) if x.ndim == 0 else out
 
 
-# -- validation ---------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    monotone: bool
-    periodic_ok: bool
-    min_dw: float
-    max_dw: float
-    singularities: list
-    singularity_classes: dict
-    smoothness_class: object
-    round_trip_max: float
-
-    @property
-    def ok(self):
-        return self.monotone and self.periodic_ok and self.round_trip_max <= 1e-12
-
-
-def validate(warp: WarpMap, rng=None) -> ValidationReport:
-    """Re-derive the map's structure and sanity-check it numerically."""
-    rng = rng or np.random.default_rng(20260816)
-    xs = np.linspace(0.0, 1.0, 8193)[:-1]
-    dw = warp.deriv1(xs)
-    monotone = bool(dw.min() > 0)
-    periodic_ok = bool(
-        abs(warp.eval(0.0)) <= 1e-14
-        and abs(warp.eval(1.0) - 1.0) <= 1e-12
-        and abs(warp.eval(2.75) - warp.eval(0.75) - 2.0) <= 1e-12
-    )
-    inv = warp.inverse()
-    pts = rng.uniform(-1.0, 2.0, size=1000)
-    rt = np.abs(inv.eval(warp.eval(pts)) - pts)
-    return ValidationReport(
-        monotone=monotone,
-        periodic_ok=periodic_ok,
-        min_dw=warp.min_dw,
-        max_dw=warp.max_dw,
-        singularities=list(warp.singularities),
-        singularity_classes=dict(warp.singularity_classes),
-        smoothness_class=warp.smoothness_class,
-        round_trip_max=float(rt.max()),
-    )
-
-
 # -- constructors -------------------------------------------------------------
 
 
 def identity_map() -> WarpMap:
-    return WarpMap([Piece(0.0, 1.0, "poly", (0.0, 1.0))], {"type": "identity"})
+    return WarpMap([Piece(0.0, 1.0, "poly", (0.0, 1.0))])
 
 
 def exponential_map() -> WarpMap:
     """w(t) = 2^t - 1: smooth inside, first derivative jumps at the seam."""
-    return WarpMap([Piece(0.0, 1.0, "exp2")], {"type": "exponential"})
+    return WarpMap([Piece(0.0, 1.0, "exp2")])
 
 
 def atan_tan_map(nu=2.0) -> WarpMap:
     """w(x) = atan(nu tan(pi x)) / pi, everywhere smooth for nu > 0."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    return WarpMap(
-        [Piece(0.0, 1.0, "atan_tan", (float(nu),))],
-        {"type": "atan_tan", "params": {"nu": float(nu)}},
-    )
+    return WarpMap([Piece(0.0, 1.0, "atan_tan", (float(nu),))])
 
 
 def cubic_seam_map(strength=-1.5) -> WarpMap:
@@ -451,10 +394,7 @@ def cubic_seam_map(strength=-1.5) -> WarpMap:
     if not -2.0 < a < 4.0:
         raise ValueError("strength outside the monotone range (-2, 4)")
     coeffs = (0.0, 1.0 - a / 2.0, 1.5 * a, -a)
-    return WarpMap(
-        [Piece(0.0, 1.0, "poly", coeffs)],
-        {"type": "cubic_seam", "params": {"strength": a}},
-    )
+    return WarpMap([Piece(0.0, 1.0, "poly", coeffs)])
 
 
 def _shift_poly(coeffs, s):
@@ -502,17 +442,12 @@ def piecewise_linear_map(knots=None, values=None, smoothing=0.0) -> WarpMap:
     slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(knots))]
 
     eps = float(smoothing)
-    spec = {
-        "type": "piecewise_linear",
-        "knots": knots,
-        "params": {"values": values, "smoothing": eps},
-    }
     if eps == 0.0:
         pieces = [
             Piece(xs[i], xs[i + 1], "poly", (ys[i], slopes[i]))
             for i in range(len(knots))
         ]
-        return WarpMap(pieces, spec)
+        return WarpMap(pieces)
 
     gaps = [xs[i + 1] - xs[i] for i in range(len(knots))]
     if eps >= 0.5 * min(gaps):
@@ -563,7 +498,7 @@ def piecewise_linear_map(knots=None, values=None, smoothing=0.0) -> WarpMap:
             Piece(p.lo, p.hi, p.kind, (p.data[0] - w0,) + tuple(p.data[1:]))
             for p in pieces
         ]
-    return WarpMap(pieces, spec)
+    return WarpMap(pieces)
 
 
 def spline_map(knots=None, values=None) -> WarpMap:
@@ -592,9 +527,7 @@ def spline_map(knots=None, values=None) -> WarpMap:
         coeffs[0] += xs[i]  # add back the identity part
         coeffs[1] += 1.0
         pieces.append(Piece(float(xs[i]), float(xs[i + 1]), "poly", tuple(coeffs)))
-    return WarpMap(
-        pieces, {"type": "spline", "knots": knots, "params": {"values": values}}
-    )
+    return WarpMap(pieces)
 
 
 BUILTIN_MAPS = {
@@ -605,37 +538,3 @@ BUILTIN_MAPS = {
     "atan_tan": atan_tan_map,
     "cubic_seam": cubic_seam_map,
 }
-
-
-def builtin_map(name, **kwargs) -> WarpMap:
-    if name not in BUILTIN_MAPS:
-        raise ValueError(f"unknown map type {name!r}; known: {sorted(BUILTIN_MAPS)}")
-    return BUILTIN_MAPS[name](**kwargs)
-
-
-def map_from_json(source) -> WarpMap:
-    """Build a map from a JSON object, string, or file path."""
-    if isinstance(source, (str, bytes)):
-        s = source.strip() if isinstance(source, str) else source
-        if isinstance(s, str) and not s.startswith("{"):
-            with open(source) as f:
-                obj = json.load(f)
-        else:
-            obj = json.loads(source)
-    elif isinstance(source, dict):
-        obj = source
-    else:
-        raise TypeError("source must be a dict, JSON string, or path")
-    mtype = obj.get("type")
-    params = dict(obj.get("params") or {})
-    # constructor keywords may also sit at the top level
-    for key, val in obj.items():
-        if key not in ("type", "params") and val is not None:
-            params[key] = val
-    if mtype not in BUILTIN_MAPS:
-        raise ValueError(f"unknown map type {mtype!r}")
-    return BUILTIN_MAPS[mtype](**params)
-
-
-def map_to_json(warp: WarpMap) -> str:
-    return json.dumps(warp.to_json(), indent=2, sort_keys=True)

@@ -1,5 +1,6 @@
 """Index sets, domain descriptors, and the feasibility calculus."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pswarp import domain_indexing as di
+from pswarp import swf_operators as swf
 from pswarp import warp_map as wm
 
 LN2 = math.log(2.0)
@@ -70,7 +72,7 @@ def test_feasibility_exponential_33_67():
     assert rep.swf_feasible and rep.saf_feasible
     # decay ratio at the seam, frozen from the closed form
     assert rep.J_min == pytest.approx(1.4645540566600084, abs=1e-12)
-    assert rep.failures == []
+    assert rep.failures == ()
 
 
 def test_feasibility_refuses_low_redundancy():
@@ -100,7 +102,7 @@ def test_exact_band_edge_coverage_is_sampling_feasible():
     rep = di.domain_spec(wm.identity_map(), 9, 9).feasibility
     assert rep.redundancy_ok and rep.signed_ok
     assert rep.swf_feasible and rep.saf_feasible
-    assert rep.failures == []
+    assert rep.failures == ()
 
 
 def test_radii_on_the_spec():
@@ -139,14 +141,6 @@ def test_decay_ratio_reads_the_stored_slopes():
         di.singularity_decay_ratio(w, sp, w.singularities[0], "up")
 
 
-def test_summary_mentions_singularity():
-    w = wm.exponential_map()
-    rep = di.check_feasibility(di.domain_spec(w, 33, 67, L_N=4, L_M=10))
-    text = rep.summary()
-    assert "x=0" in text
-    assert "FAIL" in text
-
-
 def test_tw_mode_requires_odd_symmetric():
     w = wm.exponential_map()
     with pytest.raises(ValueError):
@@ -157,46 +151,6 @@ def test_tw_mode_requires_odd_symmetric():
     assert sp.input_set.symmetric and sp.output_set.symmetric
 
 
-def test_resample_even_to_odd_trig_interpolation():
-    # band-limited signal: resampling must equal the trig polynomial on the new grid
-    rng = np.random.default_rng(7)
-    N = 32
-    coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
-    ks = np.arange(-5, 6)
-    coeffs[5] = coeffs[5].real  # k=0 real
-    coeffs = coeffs + 0j
-    # make the signal real: c_{-k} = conj(c_k)
-    full = {int(k): (coeffs[i] if k >= 0 else np.conj(coeffs[10 - i])) for i, k in enumerate(ks)}
-
-    def signal(t):
-        return sum(full[int(k)] * np.exp(2j * np.pi * k * t) for k in ks).real
-
-    s = signal(np.arange(N) / N)
-    r = di.resample_even_to_odd(s)
-    assert r.shape == (N + 1,)
-    assert np.isrealobj(r) or np.abs(r.imag).max() < 1e-12
-    np.testing.assert_allclose(np.real(r), signal(np.arange(N + 1) / (N + 1)), atol=1e-12)
-
-
-def test_resample_nyquist_split():
-    N = 8
-    n = np.arange(N)
-    s = np.cos(np.pi * n)  # pure Nyquist cosine, c_{4} = 1 split as half/half
-    r = di.resample_even_to_odd(s)
-    t = np.arange(N + 1) / (N + 1)
-    np.testing.assert_allclose(r, np.cos(2 * np.pi * 4 * t), atol=1e-12)
-
-
-def test_describe_round_trips_key_fields():
-    w = wm.exponential_map()
-    sp = di.domain_spec(w, 33, 67, b=0.25)
-    d = sp.describe()
-    assert d["N"] == 33 and d["M"] == 67
-    assert d["b"] == 0.25
-    assert d["mode"] == di.FREQUENCY_WARPING
-    assert d["feasible_swf"] is True
-
-
 def test_feasibility_is_not_an_argument():
     w = wm.exponential_map()
     good = di.domain_spec(w, 33, 67).feasibility
@@ -205,10 +159,30 @@ def test_feasibility_is_not_an_argument():
         di.DomainSpec(w, s, di.make_index_set(35, 17), feasibility=good)
 
 
+def test_feasibility_report_cannot_be_edited():
+    # a refused spec stays refused: the report, its J and its failures are
+    # read-only, so no edit can make it vouch for the spec
+    w = wm.exponential_map()
+    sp = di.domain_spec(w, 33, 35)
+    rep = sp.feasibility
+    assert not rep.swf_feasible and rep.failures
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.swf_feasible = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.failures = ()
+    with pytest.raises(TypeError):
+        rep.J[0.0] = 2.0
+    with pytest.raises(AttributeError):
+        rep.failures.clear()
+    assert sp.feasibility is rep and not rep.swf_feasible
+    with pytest.raises(ValueError, match="infeasible"):
+        swf.swf_freq(w, sp)
+
+
 @pytest.mark.parametrize("name", sorted(wm.BUILTIN_MAPS))
 @pytest.mark.parametrize("N,M,L_N,L_M", [(9, 19, 4, 9), (33, 67, 16, 33), (33, 35, 16, 17),
                                          (32, 67, 10, 40), (33, 67, 4, 10)])
 def test_every_spec_carries_its_own_feasibility(name, N, M, L_N, L_M):
-    w = wm.builtin_map(name)
+    w = wm.BUILTIN_MAPS[name]()
     sp = di.domain_spec(w, N, M, L_N=L_N, L_M=L_M)
     assert sp.feasibility == di.check_feasibility(sp)

@@ -1,6 +1,5 @@
 """Warp map construction, classification, and evaluation."""
 
-import json
 import math
 
 import numpy as np
@@ -128,11 +127,12 @@ def test_smoothed_pl_is_c1():
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
-def test_validate_ok(name):
-    rep = wm.validate(MAPS[name])
-    assert rep.ok
-    assert rep.monotone
-    assert rep.round_trip_max <= 1e-12
+def test_periodic_and_increasing(name):
+    w = MAPS[name]
+    assert abs(w.eval(0.0)) <= 1e-14
+    assert abs(w.eval(1.0) - 1.0) <= 1e-12
+    assert abs(w.eval(2.75) - w.eval(0.75) - 2.0) <= 1e-12
+    assert w.deriv1(np.linspace(0.0, 1.0, 8193)[:-1]).min() > 0
 
 
 @given(
@@ -148,7 +148,7 @@ def test_periodic_extension_dyadic(x, k):
     assert lhs == pytest.approx(rhs, abs=4 * np.spacing(max(1.0, abs(rhs))))
 
 
-@pytest.mark.parametrize("name", ["exponential", "piecewise_linear", "spline", "atan_tan"])
+@pytest.mark.parametrize("name", sorted(MAPS))
 def test_inverse_round_trip(name):
     w = MAPS[name]
     inv = w.inverse()
@@ -221,30 +221,6 @@ def test_sampled_weight_off_lattice_knots_untouched():
     np.testing.assert_allclose(w.sampled_weight(x, 0.5), w.deriv1(x) ** 0.5, rtol=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
-def test_json_round_trip(name):
-    w = MAPS[name]
-    w2 = wm.map_from_json(wm.map_to_json(w))
-    x = np.linspace(0.0, 1.0, 257)[:-1]
-    np.testing.assert_allclose(w2.eval(x), w.eval(x), atol=1e-14)
-    assert w2.smoothness_class == w.smoothness_class
-
-
-def test_map_from_json_inline_knots():
-    w = wm.map_from_json(
-        {"type": "piecewise_linear", "knots": [0.0, 0.5], "values": [0.0, 0.7]}
-    )
-    assert w.deriv1(0.25) == pytest.approx(1.4, rel=1e-14)
-    assert w.deriv1(0.75) == pytest.approx(0.6, rel=1e-14)
-
-
-def test_map_from_json_string_and_bad_type():
-    s = json.dumps({"type": "exponential"})
-    assert wm.map_from_json(s).eval(0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
-    with pytest.raises((KeyError, ValueError)):
-        wm.map_from_json({"type": "no_such_map"})
-
-
 def test_rejects_non_monotone():
     with pytest.raises(ValueError):
         wm.piecewise_linear_map([0.0, 0.5], [0.0, 1.2])  # second slope negative
@@ -261,7 +237,7 @@ def test_builtin_registry():
         "piecewise_linear",
         "spline",
     }
-    w = wm.builtin_map("exponential")
+    w = wm.BUILTIN_MAPS["exponential"]()
     assert w.eval(1.0) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -290,7 +266,7 @@ def test_slope_dip_between_grid_points_is_refused():
     coeffs = (0.0, c * t0**2 - eps, -c * t0, c / 3)
     assert np.polynomial.Polynomial(coeffs).deriv()(np.arange(4096) / 4096).min() > 0
     with pytest.raises(ValueError, match="not strictly increasing"):
-        wm.WarpMap([wm.Piece(0.0, 1.0, "poly", coeffs)], {"type": "cubic"})
+        wm.WarpMap([wm.Piece(0.0, 1.0, "poly", coeffs)])
 
 
 @pytest.mark.parametrize("name", sorted(set(MAPS) - {"spline"}))

@@ -43,7 +43,7 @@ def test_entry_matches_matrix():
 
 @pytest.mark.parametrize("name", ["exponential", "piecewise_linear", "spline"])
 def test_quadrature_order_doubling(name):
-    w = wm.builtin_map(name) if name != "piecewise_linear" else wm.piecewise_linear_map(
+    w = wm.BUILTIN_MAPS[name]() if name != "piecewise_linear" else wm.piecewise_linear_map(
         [0.0, 0.35, 0.6], [0.0, 0.55, 0.75]
     )
     m = np.arange(-14, 15)

@@ -179,15 +179,15 @@ def test_basis_refusals():
 
 def test_factored_tail_rows_match_quadrature():
     cases = [
-        (exponential_map(), 67, 1e-10),
-        (piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8]), 67, 1e-10),
-        (cubic_seam_map(), 121, 1e-12),
+        ("exponential", exponential_map(), 67, 1e-10),
+        ("piecewise_linear", piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.45, 0.8]), 67, 1e-10),
+        ("cubic_seam", cubic_seam_map(), 121, 1e-12),
     ]
-    for w, M, tol in cases:
+    for name, w, M, tol in cases:
         spec = domain_spec(w, 33, M, b=0.5)
         fact = build_factorization(w, spec, 0.5)
         ref = dox.tail_rows(w, spec, 0.5, k_tail=2)
-        assert np.max(np.abs(fact.tail_rows(2) - ref)) < tol, w.spec_json["type"]
+        assert np.max(np.abs(fact.tail_rows(2) - ref)) < tol, name
 
 
 def test_factored_tail_rows_far_from_band():
