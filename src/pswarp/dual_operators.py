@@ -10,9 +10,13 @@ that reconstructs exactly from the corrected forward operator, at the
 cost of one extra rank-limited correction factor.
 
 The series converges exactly when the compressed tail product K has
-spectral radius below one.  ``compute_Z`` forms K once; the refusal
-(ValueError when the radius is at or above one) and the solve both read
-that one K, so the accept/refuse decision has a single definition.
+spectral radius below one.  ``compute_Z`` forms K once; the gate and the
+solve both read that one K, so the accept/refuse decision has a single
+definition.  The gate reads the Frobenius norm of K first: rho(K) <=
+||K||_F, so a norm below one accepts without eigenvalues.  Only a norm at
+or above one takes the eigenvalues, and a radius at or above one is
+refused with a ValueError.  ``DualFactorization.spectral_radius`` is the
+exact rho(K) all the same, formed from the kept K on its first read.
 
 Weight convention: ``dual_W_f(warp, spec, b)`` returns the operator D
 with D' W_f^(b) = I.  D itself carries the conjugate exponent 1 - b in
@@ -20,6 +24,7 @@ its quadrature weight; the correction factor mixes both kernels.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +80,12 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     return G
 
 
-def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gate and resum the compressed tail-product series: (Z, radius).
+def _spectral_radius(K: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(K)), initial=0.0))
+
+
+def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gate and resum the compressed tail-product series: (Z, K).
 
     Z = G (I - H_dual H' G)^(-1) satisfies
 
@@ -91,28 +100,33 @@ def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndar
     n x n K = H_dual HG and solves Z (I - K) = G; n > N takes the N x N
     K = HG H_dual and, by push-through
     (I - H_dual HG)^(-1) = I + H_dual (I - K)^(-1) HG, forms
-    Z = G + (G H_dual) (I - K)^(-1) HG.  radius is the exact spectral
-    radius of K from its eigenvalues, not a bound.
+    Z = G + (G H_dual) (I - K)^(-1) HG.
 
-    Raises ValueError, before any solve, when that radius is at or
-    above one: the series diverges there, which happens exactly when
-    the sampling geometry is too tight for the correction feasibility
-    (decay ratios near one leave too much tail energy).
+    The gate reads ||K||_F first: the spectral radius is at most that
+    norm, so below one the series converges and no eigenvalue is taken.
+    Only at or above it does the gate take the exact radius from the
+    eigenvalues of K, and it raises ValueError, before any solve, when
+    that radius is at or above one: the series diverges there, which
+    happens exactly when the sampling geometry is too tight for the
+    correction feasibility (decay ratios near one leave too much tail
+    energy).  K is returned for DualFactorization.spectral_radius.
     """
     n, N = H.shape
     HG = H.conj().T @ G
     K = H_dual @ HG if n <= N else HG @ H_dual
-    radius = float(np.max(np.abs(np.linalg.eigvals(K)), initial=0.0))
-    if radius >= 1.0:
-        raise ValueError(
-            "dual correction series diverges: compressed tail product has "
-            f"spectral radius {radius:.3g} >= 1; the sampling geometry is "
-            "outside the feasibility range for an analytic dual")
+    # not (a < 1) also sends a NaN norm to the eigenvalues
+    if not np.linalg.norm(K) < 1.0:
+        radius = _spectral_radius(K)
+        if radius >= 1.0:
+            raise ValueError(
+                "dual correction series diverges: compressed tail product has "
+                f"spectral radius {radius:.3g} >= 1; the sampling geometry is "
+                "outside the feasibility range for an analytic dual")
     B = np.eye(K.shape[0]) - K
     if n > N:
-        return G + (G @ H_dual) @ np.linalg.solve(B, HG), radius
+        return G + (G @ H_dual) @ np.linalg.solve(B, HG), K
     # solve Z B = G by the transposed system; LU with partial pivoting
-    return np.linalg.solve(B.T, G.T).T, radius
+    return np.linalg.solve(B.T, G.T).T, K
 
 
 @dataclass(frozen=True)
@@ -126,21 +140,29 @@ class DualFactorization:
     dual correction factor applied to the conjugate-weight operator is
     I + H' Z H_dual: the identity plus a rank-J R product.
 
-    spectral_radius is the exact spectral radius of the compressed
-    product K that Z was solved with (compute_Z: the eigenvalues of that
-    same K), not a bound; a build with it at or above one is refused.
+    K is the compressed product that Z was solved with.  compute_Z's
+    gate reads ||K||_F first and takes eigenvalues only when that bound
+    is at or above one; a build with spectral radius at or above one is
+    refused.  spectral_radius is the exact spectral radius of K all the
+    same, not the bound: it takes the eigenvalues of K on its first read
+    and keeps the value.
     """
 
     b: float
     b_dual: float
     G: np.ndarray
     Z: np.ndarray
-    spectral_radius: float
+    K: np.ndarray
     fact: TailFactorization
     fact_dual: TailFactorization
 
     H = property(lambda self: self.fact.H)
     H_dual = property(lambda self: self.fact_dual.H)
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """The exact spectral radius of K, from its eigenvalues on first read."""
+        return _spectral_radius(self.K)
 
     def correction_factor(self) -> np.ndarray:
         """I + H' Z H_dual, the dense N x N exact-pairing correction that dual_W_f applies."""
@@ -164,8 +186,8 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     fact = saf._factorization(warp, spec, b, fact)
     fact_dual = saf._reweighted_factorization(warp, fact, b_dual)
     G = tail_row_gram(fact)
-    Z, radius = compute_Z(fact.H, G, fact_dual.H)
-    return DualFactorization(b=b, b_dual=b_dual, G=G, Z=Z, spectral_radius=radius,
+    Z, K = compute_Z(fact.H, G, fact_dual.H)
+    return DualFactorization(b=b, b_dual=b_dual, G=G, Z=Z, K=K,
                              fact=fact, fact_dual=fact_dual)
 
 
@@ -194,10 +216,10 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     The conjugate-weight W_t times the frequency dual's correction
     factor taken to sample coordinates by the input-side DFT
     conjugation.  The identity is its own twin; the rank-J R rest
-    crosses as its factors H' and Z H_dual, and its real part is taken:
-    real, float64, like the forward interpolator.  A map with no jump
-    gets no correction, as in dual_W_f (atan_tan_map() at M = 2N + 1:
-    ||D' W_t - I||_2 = 0.12 at N = 33, with no warning).
+    crosses as its factors H' and Z H_dual, and only its real part is
+    formed: real, float64, like the forward interpolator.  A map with no
+    jump gets no correction, as in dual_W_f (atan_tan_map() at
+    M = 2N + 1: ||D' W_t - I||_2 = 0.12 at N = 33, with no warning).
     """
     _require_tw(spec)
     _require_swf_feasible(spec)
@@ -206,6 +228,6 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
                          factorization=dfact.fact_dual)
     rest = _to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
                             spec.input_set, spec.input_set)
-    entries = base.entries @ (np.eye(spec.N) + rest.real)
+    entries = base.entries @ (np.eye(spec.N) + rest)
     return OperatorMatrix(kind="dual_time", b=dfact.b_dual, spec=spec,
                           entries=entries, correction=dfact)

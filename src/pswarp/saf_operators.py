@@ -34,8 +34,10 @@ from .warp_map import _coincides
 # bases
 
 
-# aligned row folds kept process-wide, least recently used dropped first
+# aligned row folds and column moments kept process-wide, least recently
+# used dropped first
 _ALIGNED_FOLDS = 8
+_COLUMN_MOMENTS = 8
 
 
 def _row_fold(spec: DomainSpec, R: int, twist: float) -> np.ndarray:
@@ -76,7 +78,9 @@ def _aligned_fold(output_set, row_radius: float, R: int) -> np.ndarray:
 def build_bases(spec: DomainSpec, R: int) -> np.ndarray:
     """V: the (R, N) column moments (n / col_radius)^k all jumps share.
 
-    Each row peaks at 1 on the wide edge of the input set.
+    Each row peaks at 1 on the wide edge of the input set.  V does not
+    depend on b: it comes read-only from _column_moments, shared by
+    every spec of that input set.
     """
     if R > sk.ROW_CAP:
         raise ValueError(f"basis order capped at {sk.ROW_CAP}")
@@ -84,8 +88,20 @@ def build_bases(spec: DomainSpec, R: int) -> np.ndarray:
         raise ValueError("need at least one basis column")
     if spec.row_radius <= 0:
         raise ValueError("output set fully one-sided; row basis scale degenerates")
-    ns = np.asarray(spec.input_set.indices, dtype=np.int64)
-    return (ns[None, :] / spec.col_radius) ** np.arange(R)[:, None]
+    return _column_moments(spec.input_set, spec.col_radius, R)
+
+
+@lru_cache(maxsize=_COLUMN_MOMENTS)
+def _column_moments(input_set, col_radius: float, R: int) -> np.ndarray:
+    """The (R, N) column moments, read-only; col_radius is the set's own.
+
+    Holds at most _COLUMN_MOMENTS of R x N float64 each: with
+    R <= ROW_CAP = 64 at N = 2^16 + 1, 34 MB an entry and 268 MB in all.
+    """
+    ns = np.asarray(input_set.indices, dtype=np.int64)
+    V = (ns[None, :] / col_radius) ** np.arange(R)[:, None]
+    V.flags.writeable = False
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +310,11 @@ def build_W_t(warp, spec: DomainSpec, b: float = None, *,
     crosses in factored form, its row factor over the output set and H
     over the input set, and only their product is M x N.  Real, float64,
     like the uncorrected interpolator: the time twin of the band fold is
-    real up to roundoff, and its real part is taken.
+    real up to roundoff, and only its real part is formed.
     """
     base = swf.swf_time(warp, spec, b=b)
     b = base.b
     fact = _factorization(warp, spec, b, factorization)
     fold = _to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
-                          entries=base.entries - fold.real, correction=fact)
+                          entries=base.entries - fold, correction=fact)

@@ -26,7 +26,9 @@ operators are views of it:
 two domains, A -> F_M^dagger conj(A) F_N and its inverse, by the FFT pair
 the appliers use.  The corrections and their duals' factors are rank-J R
 products L R (J jumps, R orders): ``_to_time_product`` crosses L and R one
-at a time, and the dense ``_to_time`` is left to the tests as referee.
+at a time and forms only the real part of their product, which is all the
+real time-domain operators keep; the dense ``_to_time`` is left to the
+tests as referee.
 
 Every operator on w reads the map's b-free record, one per map and
 geometry whatever the b (``domain_indexing.SampledGrid``): the spec's
@@ -182,9 +184,18 @@ def _to_time(A, rows, cols):
 
 
 def _to_time_product(L, R, rows, cols):
-    """_to_time(L @ R) as (F_rows^dagger conj L)(conj R F_cols): thin transforms only."""
+    """The real part of _to_time(L @ R), from thin transforms only.
+
+    _to_time(L @ R) = A conj(S) with A = F_rows^dagger conj L and
+    S = R F_cols, so its real part is the one real product
+    [Re A, Im A] [Re S; Im S].  The imaginary part is not formed: the
+    time-domain corrections keep only the real part, on sets that make
+    the imaginary part vanish up to roundoff.
+    """
     left = _uniform_synthesis(np.conj(L), rows, axis=0) / np.sqrt(rows.N * cols.N)
-    return left @ np.conj(_uniform_synthesis(R, cols, axis=1))
+    right = _uniform_synthesis(R, cols, axis=1)
+    return (np.concatenate((left.real, left.imag), axis=1)
+            @ np.concatenate((right.real, right.imag)))
 
 
 def _to_freq(B, rows, cols):

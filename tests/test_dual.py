@@ -242,6 +242,8 @@ def test_stacked_blocks_are_the_pieces_blocks():
 
 
 def test_dual_build_computes_the_radius_once(monkeypatch):
+    # ||K||_F < 1 accepts without eigenvalues; the exact radius is taken
+    # on the first read of the field and kept
     w, spec = _pl_freq()
     fact = build_factorization(w, spec, 0.5)
     calls = []
@@ -249,8 +251,11 @@ def test_dual_build_computes_the_radius_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda C: calls.append(C.shape) or eigvals(C))
     dfact = build_dual_factorization(w, spec, fact=fact)
-    assert len(calls) == 1
-    assert 0.0 < dfact.spectral_radius < 1.0
+    assert np.linalg.norm(dfact.K) < 1.0
+    assert calls == []
+    radius = dfact.spectral_radius
+    assert 0.0 < radius < 1.0 and len(calls) == 1
+    assert dfact.spectral_radius == radius and len(calls) == 1
 
 
 def test_dual_radius_from_the_smaller_product(monkeypatch):
@@ -266,11 +271,28 @@ def test_dual_radius_from_the_smaller_product(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda C: calls.append(C.shape) or eigvals(C))
         dfact = build_dual_factorization(warp, spec, fact=fact)
+        radius = dfact.spectral_radius
         monkeypatch.undo()
         n = min(dfact.H.shape)
         assert calls == [(n, n)]
         full = eigvals(dfact.H_dual @ dfact.H.conj().T @ dfact.G)
-        assert dfact.spectral_radius == pytest.approx(np.max(np.abs(full)), rel=1e-12)
+        assert radius == pytest.approx(np.max(np.abs(full)), rel=1e-12)
+
+
+def test_norm_bound_at_or_above_one_takes_the_exact_radius(monkeypatch):
+    # a nilpotent K: ||K||_F = 2 but rho(K) = 0, so the series converges
+    # and the eigenvalues accept it; Z = G (I - K)^(-1)
+    H = G = np.eye(2, dtype=complex)
+    H_dual = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda C: calls.append(C.shape) or eigvals(C))
+    Z, K = compute_Z(H, G, H_dual)
+    monkeypatch.undo()
+    assert np.linalg.norm(K) == 2.0
+    assert calls == [(2, 2)]
+    assert np.array_equal(Z, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_resummation_solves_in_the_smaller_space(monkeypatch):
@@ -304,26 +326,27 @@ def test_diverging_series_is_refused_before_any_solve(monkeypatch):
 
 
 def test_gate_and_solve_read_one_product(monkeypatch):
-    # the radius gate and the resummation read the same K, bit for bit:
-    # the solve's matrix is I - K of the eigvals call (transposed when
-    # K is the J R-square H_dual H'G), on both sides of n = N
+    # the norm gate and the resummation read the kept K, bit for bit: the
+    # gate's matrix is dfact.K and the solve's is I - dfact.K (transposed
+    # when K is the J R-square H_dual H'G), on both sides of n = N
     w = exponential_map()
     cases = [_pl_freq(), (w, domain_spec(w, 129, 259, b=0.5))]
-    eigvals, solve = np.linalg.eigvals, np.linalg.solve
+    norm, solve = np.linalg.norm, np.linalg.solve
     for warp, spec in cases:
         fact = build_factorization(warp, spec, 0.5)
-        seen, solved = [], []
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda C: seen.append(C.copy()) or eigvals(C))
+        gated, solved = [], []
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda C: gated.append(C.copy()) or norm(C))
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: solved.append(a.copy()) or solve(a, b))
         dfact = build_dual_factorization(warp, spec, fact=fact)
         monkeypatch.undo()
-        assert len(seen) == 1 and len(solved) == 1
-        (K,), (B,) = seen, solved
+        assert len(gated) == 1 and len(solved) == 1
+        (C,), (B,) = gated, solved
         if dfact.H.shape[0] <= spec.N:
             B = B.T
-        assert np.array_equal(B, np.eye(K.shape[0]) - K)
+        assert np.array_equal(C, dfact.K)
+        assert np.array_equal(B, np.eye(dfact.K.shape[0]) - dfact.K)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +593,17 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
         # (Dw(t_q))^b D(w(t_q) - p/N) / sqrt(MN) with a complex D
         return spec.samples.weight(b)[:, None] * spec.dirichlet.astype(complex) / scale
 
+    def crossing(L, R, rows, cols):
+        # the factored crossing with its product left complex, and the
+        # rounding bound of the 2k-term real sum that gives its real part
+        left = swf._uniform_synthesis(np.conj(L), rows, axis=0) / np.sqrt(rows.N * cols.N)
+        right = np.conj(swf._uniform_synthesis(R, cols, axis=1))
+        bound = 2 * L.shape[1] * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
+        return left @ right, bound
+
     def corrected(b, fact):
-        # the fold crossed as its two factors, the product left complex
-        fold = swf._to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
-        return interpolator(b) - fold
+        fold, bound = crossing(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+        return interpolator(b) - fold, bound
 
     _assert_within_ulps(swf.swf_time(w, spec).entries, interpolator(b).real, 2)
     v = w.inverse().sample(np.arange(N) / N)
@@ -584,19 +614,28 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
         # the truncation warning speaks to the correction's accuracy, not its dtype
         warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
         Wt = build_W_t(w, spec)
-        _assert_within_ulps(Wt.entries, corrected(b, Wt.correction).real, 2)
+        # the fold's real part is one real product, which sums in another
+        # order than the complex one: 2 ulp, plus that sum's rounding bound
+        ref, bound = corrected(b, Wt.correction)
+        assert Wt.entries.dtype == np.float64
+        assert np.all(np.abs(Wt.entries - ref.real)
+                      <= 2 * np.spacing(np.max(np.abs(ref.real))) + bound)
         if (name, N) in NO_DUAL:
             return
         D = dual_W_t(w, spec)
     dfact = D.correction
-    factor = np.eye(N) + swf._to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                                              spec.input_set, spec.input_set)
-    base = corrected(dfact.b_dual, dfact.fact_dual)
+    rest, rest_bound = crossing(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                                spec.input_set, spec.input_set)
+    factor = np.eye(N) + rest
+    base, base_bound = corrected(dfact.b_dual, dfact.fact_dual)
     ref = (base @ factor).real
     # a real and a complex matrix product sum in different orders: the two
-    # agree to the rounding bound of an N-term dot product, not to 2 ulp
+    # agree to the rounding bound of an N-term dot product, not to 2 ulp,
+    # plus what the two crossings' own bounds carry through the product
     assert D.entries.dtype == np.float64
-    bound = N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
+    base_bound = base_bound + 2 * np.spacing(np.max(np.abs(base.real)))
+    bound = (N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
+             + base_bound @ np.abs(factor.real) + np.abs(base.real) @ rest_bound)
     assert np.all(np.abs(D.entries - ref) <= bound)
 
 
@@ -604,21 +643,33 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
 # the corrections cross domains as thin factors
 
 
-def _assert_crossing_matches_dense(L, R, rows, cols):
+def _crossing_tol(n, ref):
     # the two crossings round differently; n is the length of the FFTs
     # down L's columns: M for the band fold, N for the dual factor
-    n = rows.N
+    return 2 * np.finfo(float).eps * np.log2(n) * np.max(np.abs(ref))
+
+
+def _assert_crossing_matches_dense(L, R, rows, cols):
+    # the factored crossing forms the real part of the dense one
     got = swf._to_time_product(L, R, rows, cols)
-    ref = swf._to_time(L @ R, rows, cols)
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(got - ref)) <= 2 * eps * np.log2(n) * np.max(np.abs(ref))
+    ref = swf._to_time(L @ R, rows, cols).real
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= _crossing_tol(rows.N, ref)
 
 
-def _assert_factors_cross_like_the_dense_products(dfact):
-    fact, spec = dfact.fact, dfact.fact.spec
-    _assert_crossing_matches_dense(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
-    _assert_crossing_matches_dense(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                                   spec.input_set, spec.input_set)
+def _time_crossings(name, N, b):
+    """(L, R, rows, cols) of the band fold and, where the dual builds, of its factor."""
+    w = JUMP_MAPS[name]()
+    spec = domain_spec(w, N, 2 * N + 1, b=b, mode=TIME_WARPING)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
+        fact = build_factorization(w, spec, b)
+        out = [(fact.row_factor(), fact.H, spec.output_set, spec.input_set)]
+        if (name, N) not in NO_DUAL:
+            dfact = build_dual_factorization(w, spec, fact=fact)
+            out.append((dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                        spec.input_set, spec.input_set))
+    return out
 
 
 @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
@@ -626,24 +677,30 @@ def _assert_factors_cross_like_the_dense_products(dfact):
 @pytest.mark.parametrize("name", sorted(JUMP_MAPS))
 def test_factored_crossing_matches_the_dense_crossing(name, N, b):
     # the band fold (n = M) and the dual factor's rank-J R part (n = N)
-    w = JUMP_MAPS[name]()
-    spec = domain_spec(w, N, 2 * N + 1, b=b, mode=TIME_WARPING)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
-        fact = build_factorization(w, spec, b)
-        if (name, N) in NO_DUAL:
-            _assert_crossing_matches_dense(fact.row_factor(), fact.H,
-                                           spec.output_set, spec.input_set)
-            return
-        dfact = build_dual_factorization(w, spec, fact=fact)
-    _assert_factors_cross_like_the_dense_products(dfact)
+    for crossing in _time_crossings(name, N, b):
+        _assert_crossing_matches_dense(*crossing)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("N", [9, 33, 129, 513])
+@pytest.mark.parametrize("name", sorted(JUMP_MAPS))
+def test_time_crossings_drop_only_a_vanishing_imaginary_part(name, N, b):
+    # the factored crossing keeps only the real part; on time-warping sets
+    # the dense referee's imaginary part is within the crossing tolerance
+    for L, R, rows, cols in _time_crossings(name, N, b):
+        dense = swf._to_time(L @ R, rows, cols)
+        assert np.max(np.abs(dense.imag)) <= _crossing_tol(rows.N, dense.real)
 
 
 def test_factored_crossing_matches_the_dense_crossing_on_skewed_sets():
     # neither set centred, three jumps of which two fold twisted
     w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.27, 0.66])
     spec = domain_spec(w, 33, 89, L_N=10, L_M=40, b=0.5)
-    _assert_factors_cross_like_the_dense_products(build_dual_factorization(w, spec))
+    dfact = build_dual_factorization(w, spec)
+    fact = dfact.fact
+    _assert_crossing_matches_dense(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+    _assert_crossing_matches_dense(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                                   spec.input_set, spec.input_set)
 
 
 @pytest.mark.parametrize("name", ["exponential", "piecewise_linear"])

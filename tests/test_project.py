@@ -75,38 +75,92 @@ TEST_ONLY = {
 }
 
 
-def _definitions(tree):
-    """Module-level functions and classes, and the functions of each class body."""
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _units(tree):
+    """(name, nodes) of each module-level function and class and each method.
+
+    A class's bases, decorators, fields and dunder methods go with the
+    class; the module's other statements go under None.
+    """
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
         if isinstance(node, ast.ClassDef):
-            yield from (item.name for item in node.body
-                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            own = [*node.bases, *node.keywords, *node.decorator_list]
+            for item in node.body:
+                if isinstance(item, _FUNCS) and not _dunder(item.name):
+                    yield item.name, [item]
+                else:
+                    own.append(item)
+            yield node.name, own
+        elif isinstance(node, _FUNCS):
+            yield node.name, [node]
+        else:
+            yield None, [node]
 
 
-def _references(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
+def _references(node):
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            for alias in child.names:
                 yield from alias.name.split(".")
+
+
+def _reached(trees):
+    """(defined, live): the src/pswarp definitions and the names that run.
+
+    Reachability by name, to a fixed point: the roots are the module-level
+    statements of src/pswarp and all of bench/ and the oracle, and a
+    definition counts as called only when a reached unit names it.  A
+    reference made only from inside an uncalled definition, or from a
+    cycle of them, calls nothing.
+    """
+    units = {None: []}
+    for path, tree in trees.items():
+        whole = path.parent != PACKAGE or path.stem == "dense_oracle"
+        for name, nodes in _units(tree):
+            units.setdefault(None if whole else name, []).extend(nodes)
+    defined = set(units) - {None}
+    live, todo = set(), units.pop(None)
+    while todo:
+        for name in _references(todo.pop()):
+            if name not in live:
+                live.add(name)
+                todo.extend(units.pop(name, []))
+    return defined, live
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
     # the dense oracle is exempt as a definition, but its calls count
     callers = sorted(PACKAGE.glob("*.py")) + sorted(
         p for p in BENCH.glob("*.py") if p.name != "test_bench.py")
-    trees = {p: ast.parse(p.read_text(), str(p)) for p in callers}
-    used = {name for tree in trees.values() for name in _references(tree)}
-    defined = {name for p, tree in trees.items()
-               if p.parent == PACKAGE and p.stem != "dense_oracle"
-               for name in _definitions(tree)
-               if not (name.startswith("__") and name.endswith("__"))}
-    uncalled = sorted(defined - used - set(TEST_ONLY))
+    defined, live = _reached({p: ast.parse(p.read_text(), str(p)) for p in callers})
+    uncalled = sorted(defined - live - set(TEST_ONLY))
     assert not uncalled, f"defined in src/pswarp, called only by tests: {uncalled}"
     gone = sorted(set(TEST_ONLY) - defined)
     assert not gone, f"listed in TEST_ONLY, no longer defined: {gone}"
+    called = sorted(set(TEST_ONLY) & live)
+    assert not called, f"listed in TEST_ONLY, called outside the tests: {called}"
+
+
+def test_a_chain_of_uncalled_definitions_is_all_uncalled():
+    # _a calls _b, _c and _d call each other, nothing calls _a, _c or _d
+    code = ("import os\n"
+            "def _a():\n    return _b()\n"
+            "def _b():\n    return os.sep\n"
+            "def _c():\n    return _d()\n"
+            "def _d():\n    return _c()\n"
+            "class K:\n    def used(self):\n        return 1\n"
+            "    def _e(self):\n        return _f()\n"
+            "def _f():\n    return 0\n"
+            "K().used()\n")
+    defined, live = _reached({PACKAGE / "fake.py": ast.parse(code)})
+    assert sorted(defined - live) == ["_a", "_b", "_c", "_d", "_e", "_f"]

@@ -139,6 +139,18 @@ def test_aligned_fold_is_shared_by_every_spec_of_the_output_set():
         U[0, 0] = 0.0
 
 
+def test_column_moments_are_shared_by_every_spec_of_the_input_set():
+    w = exponential_map()
+    first = build_factorization(w, domain_spec(w, 33, 67, b=0.4), 0.4)
+    again = build_factorization(w, domain_spec(w, 33, 67, b=0.6), 0.6, R=first.rows)
+    V, spec = first.V, first.spec
+    assert again.V is V
+    ns = spec.input_set.indices
+    assert np.array_equal(V, (ns[None, :] / spec.col_radius) ** np.arange(first.rows)[:, None])
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.0
+
+
 def test_twisted_folds_are_not_kept():
     # equal end slopes: no jump at 0, both knots off the sample lattice
     w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.2, 0.8])
