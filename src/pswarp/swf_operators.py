@@ -187,15 +187,18 @@ def _to_time_product(L, R, rows, cols):
     """The real part of _to_time(L @ R), from thin transforms only.
 
     _to_time(L @ R) = A conj(S) with A = F_rows^dagger conj L and
-    S = R F_cols, so its real part is the one real product
-    [Re A, Im A] [Re S; Im S].  The imaginary part is not formed: the
-    time-domain corrections keep only the real part, on sets that make
-    the imaginary part vanish up to roundoff.
+    S = R F_cols.  Its real part, sum_k Re A_ik Re S_kj + Im A_ik Im S_kj,
+    is one real product of A and S^T each read as float64 pairs, which
+    keeps the terms in the complex product's order of k.  The imaginary
+    part is not formed: the time-domain corrections keep only the real
+    part, on sets that make the imaginary part vanish up to roundoff.
     """
     left = _uniform_synthesis(np.conj(L), rows, axis=0) / np.sqrt(rows.N * cols.N)
-    right = _uniform_synthesis(R, cols, axis=1)
-    return (np.concatenate((left.real, left.imag), axis=1)
-            @ np.concatenate((right.real, right.imag)))
+    right = _uniform_synthesis(np.transpose(R), cols, axis=0)
+    # a C-ordered complex (m, k) array read as float64 is (m, 2k): each
+    # entry's real part, then its imaginary part
+    pairs = [np.ascontiguousarray(x).view(np.float64) for x in (left, right)]
+    return pairs[0] @ pairs[1].T
 
 
 def _to_freq(B, rows, cols):

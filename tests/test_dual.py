@@ -593,17 +593,10 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
         # (Dw(t_q))^b D(w(t_q) - p/N) / sqrt(MN) with a complex D
         return spec.samples.weight(b)[:, None] * spec.dirichlet.astype(complex) / scale
 
-    def crossing(L, R, rows, cols):
-        # the factored crossing with its product left complex, and the
-        # rounding bound of the 2k-term real sum that gives its real part
-        left = swf._uniform_synthesis(np.conj(L), rows, axis=0) / np.sqrt(rows.N * cols.N)
-        right = np.conj(swf._uniform_synthesis(R, cols, axis=1))
-        bound = 2 * L.shape[1] * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
-        return left @ right, bound
-
     def corrected(b, fact):
-        fold, bound = crossing(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
-        return interpolator(b) - fold, bound
+        # the fold crossed as its two factors, as the operators cross it
+        fold = swf._to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+        return interpolator(b) - fold
 
     _assert_within_ulps(swf.swf_time(w, spec).entries, interpolator(b).real, 2)
     v = w.inverse().sample(np.arange(N) / N)
@@ -614,28 +607,19 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
         # the truncation warning speaks to the correction's accuracy, not its dtype
         warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
         Wt = build_W_t(w, spec)
-        # the fold's real part is one real product, which sums in another
-        # order than the complex one: 2 ulp, plus that sum's rounding bound
-        ref, bound = corrected(b, Wt.correction)
-        assert Wt.entries.dtype == np.float64
-        assert np.all(np.abs(Wt.entries - ref.real)
-                      <= 2 * np.spacing(np.max(np.abs(ref.real))) + bound)
+        _assert_within_ulps(Wt.entries, corrected(b, Wt.correction).real, 2)
         if (name, N) in NO_DUAL:
             return
         D = dual_W_t(w, spec)
     dfact = D.correction
-    rest, rest_bound = crossing(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                                spec.input_set, spec.input_set)
-    factor = np.eye(N) + rest
-    base, base_bound = corrected(dfact.b_dual, dfact.fact_dual)
+    factor = np.eye(N) + swf._to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                                              spec.input_set, spec.input_set)
+    base = corrected(dfact.b_dual, dfact.fact_dual)
     ref = (base @ factor).real
     # a real and a complex matrix product sum in different orders: the two
-    # agree to the rounding bound of an N-term dot product, not to 2 ulp,
-    # plus what the two crossings' own bounds carry through the product
+    # agree to the rounding bound of an N-term dot product, not to 2 ulp
     assert D.entries.dtype == np.float64
-    base_bound = base_bound + 2 * np.spacing(np.max(np.abs(base.real)))
-    bound = (N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
-             + base_bound @ np.abs(factor.real) + np.abs(base.real) @ rest_bound)
+    bound = N * np.finfo(float).eps * (np.abs(base.real) @ np.abs(factor.real))
     assert np.all(np.abs(D.entries - ref) <= bound)
 
 
@@ -652,24 +636,10 @@ def _crossing_tol(n, ref):
 def _assert_crossing_matches_dense(L, R, rows, cols):
     # the factored crossing forms the real part of the dense one
     got = swf._to_time_product(L, R, rows, cols)
-    ref = swf._to_time(L @ R, rows, cols).real
+    dense = swf._to_time(L @ R, rows, cols)
     assert got.dtype == np.float64
-    assert np.max(np.abs(got - ref)) <= _crossing_tol(rows.N, ref)
-
-
-def _time_crossings(name, N, b):
-    """(L, R, rows, cols) of the band fold and, where the dual builds, of its factor."""
-    w = JUMP_MAPS[name]()
-    spec = domain_spec(w, N, 2 * N + 1, b=b, mode=TIME_WARPING)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
-        fact = build_factorization(w, spec, b)
-        out = [(fact.row_factor(), fact.H, spec.output_set, spec.input_set)]
-        if (name, N) not in NO_DUAL:
-            dfact = build_dual_factorization(w, spec, fact=fact)
-            out.append((dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                        spec.input_set, spec.input_set))
-    return out
+    assert np.max(np.abs(got - dense.real)) <= _crossing_tol(rows.N, dense.real)
+    return dense
 
 
 @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
@@ -677,18 +647,19 @@ def _time_crossings(name, N, b):
 @pytest.mark.parametrize("name", sorted(JUMP_MAPS))
 def test_factored_crossing_matches_the_dense_crossing(name, N, b):
     # the band fold (n = M) and the dual factor's rank-J R part (n = N)
-    for crossing in _time_crossings(name, N, b):
-        _assert_crossing_matches_dense(*crossing)
-
-
-@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("N", [9, 33, 129, 513])
-@pytest.mark.parametrize("name", sorted(JUMP_MAPS))
-def test_time_crossings_drop_only_a_vanishing_imaginary_part(name, N, b):
-    # the factored crossing keeps only the real part; on time-warping sets
-    # the dense referee's imaginary part is within the crossing tolerance
-    for L, R, rows, cols in _time_crossings(name, N, b):
-        dense = swf._to_time(L @ R, rows, cols)
+    w = JUMP_MAPS[name]()
+    spec = domain_spec(w, N, 2 * N + 1, b=b, mode=TIME_WARPING)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
+        fact = build_factorization(w, spec, b)
+        crossings = [(fact.row_factor(), fact.H, spec.output_set, spec.input_set)]
+        if (name, N) not in NO_DUAL:
+            dfact = build_dual_factorization(w, spec, fact=fact)
+            crossings.append((dfact.H.conj().T, dfact.Z @ dfact.H_dual,
+                              spec.input_set, spec.input_set))
+    for L, R, rows, cols in crossings:
+        dense = _assert_crossing_matches_dense(L, R, rows, cols)
+        # the imaginary part the factored crossing drops vanishes on these sets
         assert np.max(np.abs(dense.imag)) <= _crossing_tol(rows.N, dense.real)
 
 
