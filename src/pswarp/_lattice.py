@@ -20,10 +20,11 @@ Every row takes its jet from one path, the Taylor series c0 of zeta_q
 at the origin re-expanded at the row.  c0 is one convolution of the
 twist's exponential series with the series of 1/h,
 h(z) = (exp(j2pi z) - 1)/(j2pi z), whose coefficients B_d (j2pi)^d/d!
-(-2 zeta(d) at even d >= 2) are the same for every twist and are built
-once per length.  The series converges on |z| < 1 but needs ever more
-terms towards |z| = 1, so a row past |z| = 1/2 is first moved one
-lattice step n into the disc: zeta_q + 1/z is q-quasi-periodic,
+(-2 zeta(d) at even d >= 2, rounded by _zeta_even from the exact
+Bernoulli numbers this module carries) are the same for every twist and
+are built once per length.  The series converges on |z| < 1 but needs
+ever more terms towards |z| = 1, so a row past |z| = 1/2 is first moved
+one lattice step n into the disc: zeta_q + 1/z is q-quasi-periodic,
 zeta_q(z) = q^n (zeta_q(z - n) + 1/(z - n)) - 1/z, and the two pole
 jets are added back in closed form.
 
@@ -63,8 +64,6 @@ import math
 
 import numpy as np
 
-from ._ratpoly import bernoulli_numbers
-
 TWO_PI_J = 2j * math.pi
 
 # band-complement powers up to this one come from the residue-class fold,
@@ -74,6 +73,19 @@ _FOLD_POWERS = 16
 # zeta at even d up to this one from the exact Bernoulli number
 _EXACT_ZETA = 40
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+@lru_cache(maxsize=None)
+def bernoulli_numbers(n_max: int) -> tuple:
+    """B_0 .. B_n_max with the B_1 = -1/2 convention, exact."""
+    B = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0
+        s = Fraction(0)
+        for j in range(m):
+            s += math.comb(m + 1, j) * B[j]
+        B.append(-s / (m + 1))
+    return tuple(B)
 
 
 @lru_cache(maxsize=None)

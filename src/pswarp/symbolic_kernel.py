@@ -13,11 +13,11 @@ j contributes one factor D^{j+1} w, and the product is normalized by a
 matching power of Dw.  The scalar beta_{l,n} carries the map jets; the
 polynomial gamma_{l,n}(k), with coefficients polynomial in the weight
 exponent b, counts how many differentiation paths reach that sequence.
-The gammas satisfy a first-order difference equation in k, solved exactly
-by Bernoulli-polynomial antidifferences, so the whole table is rational.
-gamma_tables holds it in one exact form, built directly in integers: per
-level one common denominator and per sequence an integer coefficient
-array in (b, k).
+The gammas satisfy a first-order difference equation in k with integer
+weights (and b).  Over binomials binom(k, m) in k its antidifference is
+a shift in m, so every coefficient stays an integer: gamma_tables holds
+the table in that one exact form, per sequence an integer coefficient
+array in (b^i, binom(k, m)).
 
 Numerically the table is contracted against the map before any b is
 chosen.  beta_{l,n} = Dw^b beta~_{l,n}, where beta~_{l,n} = Dw^shift
@@ -26,8 +26,8 @@ prod D^m w carries no b, so on every one-sided jet row
     alpha_{k,l} = Dw^b sum_i b^i sum_m C_{l,i,m} binom(k, m),
     C_{l,i,m} = sum_n beta~_{l,n} c_{l,n,i,m},
 
-with c the table over binomials in k in place of powers (its Newton
-form, exact in integers, then rounded once per entry: GammaLevel.ratio).
+with c the integer table, rounded once per entry (GammaLevel.ratio; at
+the default depth every entry is below 2^53, so the rounding is exact).
 That is one float matmul per level (_contract), and each C entry is
 within about n u (|beta~| @ |c|) of its exact value, u = 2^-53 and n the
 level's sequence count.  C depends on the map and R alone, so the map
@@ -48,13 +48,11 @@ aliasing correction; the kernel matrix built here is its middle factor.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 import math
 
 import numpy as np
 
-from ._ratpoly import bernoulli_polynomial
 from .domain_indexing import _resolve_b, singularity_decay_ratio
 
 MAX_LEVEL_DEFAULT = 12
@@ -113,58 +111,24 @@ def enumerate_level(level: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class GammaLevel:
-    """gamma_{l,n} for every sequence n of one level, over one denominator.
+    """gamma_{l,n} for every sequence n of one level, in integers.
 
-    num[n, i, j] / den is the coefficient of b^i k^j in gamma_{l,n}, with
-    i <= l and j <= 2l.  The entries are read-only Python ints, and den is
-    reduced against all of them.
+    num[n, i, m] is the coefficient of b^i binom(k, m) in gamma_{l,n},
+    with i <= l and m <= 2l.  The entries are read-only Python ints.
     """
 
     seqs: tuple
-    den: int
     num: np.ndarray  # (sequences, l + 1, 2l + 1), dtype object
 
     @cached_property
     def ratio(self) -> np.ndarray:
-        """The table over binomials in k, as float64, read-only.
+        """num as float64, each integer rounded once, read-only.
 
-        ratio[n, i, m] is the coefficient of b^i binom(k, m) in
-        gamma_{l,n}: num over the Newton basis of k (_newton_matrix),
-        divided by den and rounded once per entry.  Made on first use,
-        not by gamma_tables.
+        Made on first use, not by gamma_tables.
         """
-        newton = self.num @ _newton_matrix(self.num.shape[2] - 1)
-        r = np.array([v / self.den for v in newton.ravel().tolist()])
-        r = r.reshape(newton.shape)
+        r = self.num.astype(np.float64)
         r.flags.writeable = False
         return r
-
-
-def _newton_matrix(degree: int) -> np.ndarray:
-    """Q with k^j = sum_m Q[j, m] binom(k, m), j, m = 0 .. degree, in integers.
-
-    Q[j, m] = sum_t (-1)^(m - t) binom(m, t) t^j, the m-th forward
-    difference of k^j at 0 (m! times a Stirling number of the second
-    kind).
-    """
-    return np.array([[sum((-1) ** (m - t) * math.comb(m, t) * t**j for t in range(m + 1))
-                      for m in range(degree + 1)] for j in range(degree + 1)], dtype=object)
-
-
-def _antidifference_matrix(degree: int) -> tuple:
-    """(den, A): the antidifference in k of k^m is sum_r A[m, r] k^r / den.
-
-    Rows m = 0 .. degree, columns r = 0 .. degree + 1; the antidifference
-    (B_{m+1}(k) - B_{m+1}(0)) / (m + 1) vanishes at k = 0, so column 0 is
-    zero.
-    """
-    rows = [[Fraction(0)] + [c / (m + 1) for c in bernoulli_polynomial(m + 1)[1:]]
-            + [Fraction(0)] * (degree - m)
-            for m in range(degree + 1)]
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    A = np.array([[v.numerator * (den // v.denominator) for v in row] for row in rows],
-                 dtype=object)
-    return den, A
 
 
 @lru_cache(maxsize=None)
@@ -176,38 +140,39 @@ def gamma_tables(max_level: int) -> tuple:
     size 1 with weight dw_shift + b + k - l) or one of the D^m w factors
     (growing a part by one with weight p_m).  Collecting every route into
     a level-(l+1) sequence gives its forward difference in k; the
-    antidifference with gamma(0) = 0 closes the level.  In integers over
-    the level's denominator, the first route is two shifts and a scale,
-    the second a scale, and the antidifference one matrix product.
+    antidifference with gamma(0) = 0 closes the level.  Over binomials in
+    k all of it stays in integers: the first route is a shift in b plus
+    k binom(k, m) = m binom(k, m) + (m + 1) binom(k, m + 1), the second a
+    scale, and the antidifference sum_{i<k} binom(i, m) = binom(k, m + 1)
+    a shift in m.
     """
     num = np.ones((1, 1, 1), dtype=object)
     num.flags.writeable = False
-    levels = [GammaLevel((Sequence(0, ()),), 1, num)]
+    levels = [GammaLevel((Sequence(0, ()),), num)]
     for level in range(max_level):
         prev = levels[-1]
         seqs = tuple(enumerate_level(level + 1))
         row = {seq.parts: n for n, seq in enumerate(seqs)}
         delta = np.zeros((len(seqs), level + 2, 2 * level + 2), dtype=object)
+        m = np.array(range(2 * level + 1), dtype=object)
         for seq, g in zip(prev.seqs, prev.num):
             # route 1: new factor D^2 w from the exponential and Dw powers,
-            # weight b + k + dw_shift - l: a shift in b, a shift in k, a scale
+            # weight b + k + dw_shift - l: a shift in b, k over binomials,
+            # a scale
             d = delta[row[tuple(sorted(seq.parts + (1,), reverse=True))]]
             d[1:, :-1] += g
-            d[:-1, 1:] += g
-            d[:-1, :-1] += (seq.dw_shift - level) * g
+            d[:-1, :-1] += (m + seq.dw_shift - level) * g
+            d[:-1, 1:] += (m + 1) * g
             # route 2: deepen one existing factor D^m w -> D^{m+1} w
             for j in sorted(set(seq.parts)):
                 grown = list(seq.parts)
                 grown.remove(j)
                 target = tuple(sorted(grown + [j + 1], reverse=True))
                 delta[row[target], :-1, :-1] += seq.multiplicity(j + 1) * g
-        den_a, A = _antidifference_matrix(2 * level + 1)
-        num = delta @ A
-        den = prev.den * den_a
-        common = math.gcd(den, *num.ravel().tolist())
-        num //= common
+        num = np.zeros((len(seqs), level + 2, 2 * level + 3), dtype=object)
+        num[..., 1:] = delta
         num.flags.writeable = False
-        levels.append(GammaLevel(seqs, den // common, num))
+        levels.append(GammaLevel(seqs, num))
     return tuple(levels)
 
 
@@ -281,8 +246,8 @@ def _evaluate(C: np.ndarray, b: float, ks: np.ndarray) -> np.ndarray:
     sum_m P_m binom(k, m) = P_0 + k (P_1 + (k - 1)/2 (P_2 + ...)), whose
     factor k - m is exactly 0 at an integer k = m.  The terms past
     binom(k, k) drop out exactly, so a gamma is exactly 0 wherever its
-    Newton coefficients up to k are: at every k below its level, for any
-    b, and at its integer roots at b = 0.
+    coefficients over binomials up to k are: at every k below its level,
+    for any b, and at its integer roots at b = 0.
     """
     P = C[..., -1, :]
     for i in range(C.shape[-2] - 2, -1, -1):

@@ -514,6 +514,8 @@ def spline_map(knots=None, values=None) -> WarpMap:
 
     knots = [float(k) for k in knots]
     values = [float(v) for v in values]
+    if len(knots) != len(values) or len(knots) < 1:
+        raise ValueError("knots and values must be equal-length, nonempty")
     if knots[0] != 0.0 or values[0] != 0.0:
         raise ValueError("first knot must be (0, 0)")
     xs = np.array(knots + [1.0])

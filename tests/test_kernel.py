@@ -1,6 +1,7 @@
 """Symbolic expansion tables and the per-singularity jump kernel."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 import cmath
 import hashlib
 import math
@@ -10,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pswarp._ratpoly import bernoulli_numbers, bernoulli_polynomial
+from pswarp._lattice import bernoulli_numbers
 from pswarp.symbolic_kernel import (
     MAX_LEVEL_DEFAULT,
     KernelBundle,
-    _antidifference_matrix,
     build_kernel,
     choose_rows,
     enumerate_level,
@@ -49,6 +49,27 @@ def _exact(den, num, b, k):
                F(0))
 
 
+@lru_cache(maxsize=None)
+def _power(table):
+    """(den, num): the table over powers of k, num[n, i, j] / den the b^i k^j coefficient.
+
+    Each binom(k, m) = k (k - 1) ... (k - m + 1) / m! expanded in powers
+    of k, exactly; den is the lcm of the coefficients' denominators, so it
+    is reduced against every entry.  Read-only.
+    """
+    degree = table.num.shape[2] - 1
+    Q = np.zeros((degree + 1, degree + 1), dtype=object)
+    falling = [1]
+    for m in range(degree + 1):
+        Q[m, :m + 1] = [F(c, math.factorial(m)) for c in falling]
+        falling = [a - m * c for a, c in zip([0] + falling, falling + [0])]
+    exact = (table.num @ Q).ravel().tolist()
+    den = math.lcm(*(F(v).denominator for v in exact))
+    num = np.array([int(v * den) for v in exact], dtype=object).reshape(table.num.shape)
+    num.flags.writeable = False
+    return den, num
+
+
 def test_bernoulli_numbers():
     got = bernoulli_numbers(12)
     assert got[0] == 1
@@ -56,24 +77,6 @@ def test_bernoulli_numbers():
     assert got[2] == F(1, 6)
     assert got[3] == 0
     assert got[12] == F(-691, 2730)
-
-
-def test_bernoulli_polynomial_values():
-    # B_3(x) = x^3 - 3/2 x^2 + 1/2 x
-    assert bernoulli_polynomial(3) == (0, F(1, 2), F(-3, 2), 1)
-
-
-def test_antidifference_telescopes():
-    # p = b k^3 - 2 k + b, with p[i, j] the coefficient of b^i k^j
-    p = np.zeros((2, 4), dtype=object)
-    p[1, 3], p[0, 1], p[1, 0] = 1, -2, 1
-    den, A = _antidifference_matrix(3)
-    g = p @ A
-    b = F(1, 3)
-    assert _exact(den, g, b, 0) == 0
-    for kk in range(12):
-        lhs = _exact(den, g, b, kk + 1) - _exact(den, g, b, kk)
-        assert lhs == _exact(1, p, b, kk)
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +96,34 @@ def test_sequence_ordering_is_most_factors_first():
 
 def test_level_one_polynomial_string():
     # gamma_{1,1}(k) = 1/2 k^2 + (b - 1/2) k
-    t = gamma_tables(1)[1]
-    assert _coefficients(t.den, t.num[0]) == {(0, 2): F(1, 2), (1, 1): 1, (0, 1): F(-1, 2)}
+    den, num = _power(gamma_tables(1)[1])
+    assert _coefficients(den, num[0]) == {(0, 2): F(1, 2), (1, 1): 1, (0, 1): F(-1, 2)}
 
 
 def test_tables_json_digest_pinned():
     # no closed form below covers levels 7-12; the digest of the exact
-    # integers pins every entry of the default-depth table
-    text = repr([(t.den, [s.parts for s in t.seqs], t.num.shape, t.num.ravel().tolist())
-                 for t in gamma_tables(12)])
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    # integers over powers of k pins every entry of the default-depth table
+    rows = []
+    for t in gamma_tables(12):
+        den, num = _power(t)
+        rows.append((den, [s.parts for s in t.seqs], num.shape, num.ravel().tolist()))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "0d038f01eef03c90506acf7e3468108aa3c32b2f32e7e4cbfe7c9b48c0dcf304"
+
+
+def test_tables_are_integers_the_float_table_copies_exactly():
+    # over binomials in k every coefficient is an integer; at the default
+    # depth each is below 2^53 (41 bits at level 12), so the float table
+    # the contraction reads is an exact copy, not a rounding
+    for t in gamma_tables(MAX_LEVEL_DEFAULT):
+        values = t.num.ravel().tolist()
+        assert all(type(v) is int and abs(v) < 2**53 for v in values), t.seqs[0].level
+        assert t.ratio.ravel().tolist() == [float(v) for v in values], t.seqs[0].level
 
 
 def test_level_two_polynomials_exact():
     t = gamma_tables(2)[2]
+    den, num = _power(t)
     s1, s2 = t.seqs
     assert s1.parts == (1, 1) and s2.parts == (2,)
     want1 = {
@@ -117,8 +133,8 @@ def test_level_two_polynomials_exact():
     }
     want2 = {(0, 3): F(1, 6), (1, 2): F(1, 2), (0, 2): F(-1, 2),
              (1, 1): F(-1, 2), (0, 1): F(1, 3)}
-    assert _coefficients(t.den, t.num[0]) == {kk: F(v) for kk, v in want1.items()}
-    assert _coefficients(t.den, t.num[1]) == {kk: F(v) for kk, v in want2.items()}
+    assert _coefficients(den, num[0]) == {kk: F(v) for kk, v in want1.items()}
+    assert _coefficients(den, num[1]) == {kk: F(v) for kk, v in want2.items()}
 
 
 GOLDEN_B0 = {
@@ -144,17 +160,17 @@ GOLDEN_B1 = {
 def test_golden_tables_levels_up_to_three(b, golden):
     tabs = gamma_tables(3)
     for (l, n), f in golden.items():
-        t = tabs[l]
+        den, num = _power(tabs[l])
         for k in range(0, 12):
-            assert _exact(t.den, t.num[n - 1], b, k) == f(k), (l, n, k)
+            assert _exact(den, num[n - 1], b, k) == f(k), (l, n, k)
 
 
 def test_shift_identity_and_zero_structure():
     # raising b by one shifts the argument: gamma|_{b=1}(k) = gamma|_{b=0}(k+1)
     tabs = gamma_tables(8)
     for l in range(1, 9):
-        den = tabs[l].den
-        for seq, num in zip(tabs[l].seqs, tabs[l].num):
+        den, nums = _power(tabs[l])
+        for seq, num in zip(tabs[l].seqs, nums):
             for k in range(0, 14):
                 assert _exact(den, num, 1, k) == _exact(den, num, 0, k + 1)
             # at b=0 the polynomial has roots at k = 0 .. l+#factors-1
@@ -169,8 +185,8 @@ def test_vanishing_below_level_for_all_b():
     # gamma has degree at most l in b, so l + 1 distinct zeros in b show it
     tabs = gamma_tables(6)
     for l in range(1, 7):
-        den = tabs[l].den
-        for num in tabs[l].num:
+        den, nums = _power(tabs[l])
+        for num in nums:
             assert num.shape[0] == l + 1
             for k in range(l):
                 for b in range(l + 1):
@@ -184,18 +200,20 @@ def test_difference_equation_recovers_table(level, b):
     # level-l gamma equals the weighted sum of its level-(l-1) parents
     tabs = gamma_tables(level)
     up = tabs[level - 1]
-    parents = {seq.parts: (seq, num) for seq, num in zip(up.seqs, up.num)}
+    up_den, up_nums = _power(up)
+    parents = {seq.parts: (seq, num) for seq, num in zip(up.seqs, up_nums)}
     t = tabs[level]
-    for seq, num in zip(t.seqs, t.num):
+    den, nums = _power(t)
+    for seq, num in zip(t.seqs, nums):
         for k in range(0, 9):
-            diff = _exact(t.den, num, b, k + 1) - _exact(t.den, num, b, k)
+            diff = _exact(den, num, b, k + 1) - _exact(den, num, b, k)
             acc = F(0)
             # parent via dropping one part of size 1 (exp/power route)
             if 1 in seq.parts:
                 pp = list(seq.parts)
                 pp.remove(1)
                 pseq, pnum = parents[tuple(pp)]
-                acc += _exact(up.den, pnum, b, k) * (b + k + pseq.dw_shift - (level - 1))
+                acc += _exact(up_den, pnum, b, k) * (b + k + pseq.dw_shift - (level - 1))
             # parent via shrinking a part j -> j-1
             for j in sorted(set(seq.parts)):
                 if j == 1:
@@ -204,7 +222,7 @@ def test_difference_equation_recovers_table(level, b):
                 pp.remove(j)
                 pp = tuple(sorted(pp + [j - 1], reverse=True))
                 pseq, pnum = parents[pp]
-                acc += _exact(up.den, pnum, b, k) * pseq.multiplicity(j)
+                acc += _exact(up_den, pnum, b, k) * pseq.multiplicity(j)
             assert diff == acc
 
 
@@ -246,10 +264,10 @@ def expansion_derivative(warp, x, side, a, b, k):
 
 def test_alpha_level_two_top_coefficient():
     # alpha_{2,2} = b(b-1) beta_{2,(1,1)} + b beta_{2,(2)}
-    t = gamma_tables(2)[2]
+    den, num = _power(gamma_tables(2)[2])
     bb = F(3, 7)
-    assert _exact(t.den, t.num[0], bb, 2) == bb * bb - bb
-    assert _exact(t.den, t.num[1], bb, 2) == bb
+    assert _exact(den, num[0], bb, 2) == bb * bb - bb
+    assert _exact(den, num[1], bb, 2) == bb
 
 
 def test_alpha_exponential_map_golden():
@@ -321,10 +339,12 @@ def _kernel_by_fractions(warp, spec, bun):
     """S of every jump by the scalar reference: b collapsed through Fraction."""
     b, R, level_cap = bun.b, bun.rows, MAX_LEVEL_DEFAULT
     bq = F(b)
-    kpolys = [[(seq, [float(sum(F(v, t.den) * bq**i for i, v in enumerate(col)))
-                      for col in num.T])
-               for seq, num in zip(t.seqs, t.num)]
-              for t in gamma_tables(level_cap)]
+    kpolys = []
+    for t in gamma_tables(level_cap):
+        den, nums = _power(t)
+        kpolys.append([(seq, [float(sum(F(v, den) * bq**i for i, v in enumerate(col)))
+                              for col in num.T])
+                       for seq, num in zip(t.seqs, nums)])
     scale = -1j * math.pi * spec.M * (1.0 - spec.output_set.mu)
     out = []
     for ker in bun.kernels:
@@ -455,7 +475,8 @@ def _exact_kernel(warp, spec, b, R):
             alpha = np.zeros((len(tables), R), dtype=object)
             cond = np.zeros((len(tables), R), dtype=object)
             for level, table in enumerate(tables):
-                for seq, num in zip(table.seqs, table.num):
+                table_den, nums = _power(table)
+                for seq, num in zip(table.seqs, nums):
                     if exact:
                         beta = F(jets[1]) ** (int(b) + seq.dw_shift)
                         for j in seq.parts:
@@ -468,7 +489,7 @@ def _exact_kernel(warp, spec, b, R):
                         continue
                     g, den = _gamma_integers(num, b, range(R))
                     gabs, _ = _gamma_integers(abs(num), b, range(R))
-                    den *= table.den
+                    den *= table_den
                     for k in range(level, R):
                         alpha[level, k] += beta * F(g[k], den) if exact \
                             else beta * mpmath.mpf(g[k]) / den
@@ -588,16 +609,17 @@ def _forward_differences(values):
 @pytest.mark.parametrize("level", [1, 2, 5, 12])
 def test_gamma_ratio_is_the_rounded_newton_table(level):
     # the float table the contraction reads: gamma over binomials in k,
-    # each exact coefficient rounded once; from the polynomial's values
-    # at k = 0 .. 2l by iterated differences, not by the Stirling matrix
+    # each exact coefficient rounded once; from the power form's values
+    # at k = 0 .. 2l by iterated differences, not from num itself
     table = gamma_tables(MAX_LEVEL_DEFAULT)[level]
     assert not table.ratio.flags.writeable
     assert table.ratio.shape == table.num.shape
+    den, nums = _power(table)
     for n in range(len(table.seqs)):
         for i in range(level + 1):
-            num = table.num[n, i]
+            num = nums[n, i]
             values = [sum(int(v) * k**j for j, v in enumerate(num)) for k in range(num.size)]
-            want = [float(F(d, table.den)) for d in _forward_differences(values)]
+            want = [float(F(d, den)) for d in _forward_differences(values)]
             assert table.ratio[n, i].tolist() == want, (n, i)
 
 
@@ -612,11 +634,12 @@ def test_gamma_values_vanish_exactly_at_their_integer_roots(b):
         g = symbolic_kernel._evaluate(C, b, ks)[:, 0]
         size = symbolic_kernel._evaluate(np.abs(C), b, ks)[:, 0]
         level = table.seqs[0].level
+        den, nums = _power(table)
         for n, seq in enumerate(table.seqs):
             roots = level + len(seq.parts) if b == 0.0 else level
             assert not g[n, :roots].any(), (level, seq.parts)
-            values, scale = _gamma_integers(table.num[n], b, range(ks.size))
-            exact = np.array([float(F(v, scale * table.den)) for v in values])
+            values, scale = _gamma_integers(nums[n], b, range(ks.size))
+            exact = np.array([float(F(v, scale * den)) for v in values])
             assert np.all(np.abs(g[n] - exact) <= 1e-13 * size[n]), (level, seq.parts)
 
 

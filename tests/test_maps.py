@@ -118,6 +118,15 @@ def test_spline_map_knot_continuity():
     assert w.eval(0.3) == pytest.approx(0.45, abs=1e-13)
 
 
+@pytest.mark.parametrize("make", [wm.spline_map, wm.piecewise_linear_map])
+@pytest.mark.parametrize("knots,values", [([0.0, 0.3, 0.7], [0.0, 0.45, 0.8, 0.95]),
+                                          ([0.0, 0.3, 0.7], [0.0, 0.45])])
+def test_unequal_knots_and_values_are_refused(make, knots, values):
+    # an extra value is not dropped, and a missing one is not left to scipy
+    with pytest.raises(ValueError, match="equal-length"):
+        make(knots, values)
+
+
 def test_smoothed_pl_is_c1():
     w = MAPS["pl_smoothed"]
     for xi in w.singularities:
