@@ -54,7 +54,12 @@ exactly one m0 in B and one k != 0, so
   C_s(d) = (-r/P)^s sum_{m0 in B} exp(j2pi m0 d) T_s(-m0/P, exp(j2pi P d)),
 
 one fold over the band rows.  Only high powers, whose terms vanish
-within a few band widths, are summed directly.
+within a few band widths, are summed directly.  A Gram asks for many
+phases d at once: they are deduplicated exactly mod 1, the fold takes
+all twists through one contraction of the band rows' shared |z|^j table,
+and the direct sums share one table (m/r)^-s, each power s cut at its own
+a-priori end.  Every sum runs in an order that does not depend on the
+other phases of the batch, so a phase's sums are the same in any batch.
 """
 
 import cmath
@@ -177,33 +182,37 @@ def _binomials(depth: int) -> np.ndarray:
     return binom
 
 
-def _jets_recentred(z: np.ndarray, depth: int, twist: float) -> np.ndarray:
-    """Jets of zeta_q at every row of z, |z| <= 1/2, from the origin series.
+def _jets_recentred(z: np.ndarray, depth: int, twists) -> np.ndarray:
+    """Jets of zeta_q at every row of z for every twist, |z| <= 1/2, from the origin series.
 
-    out[r, e] = sum_j A[j, e] |z_r|^j with A[j, e] = c0[j + e] C(j + e, e),
-    one einsum contraction of the power table |z_r|^j with A on the float
-    view; einsum's own loop, not BLAS, whose gemv and gemm round a row
-    differently.  Each distinct |z| is evaluated once, and a row at z < 0
-    is the mirror c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and
-    any twist (T_s(-z, q) = (-1)^s T_s(z, conj q)).  The term count comes
-    from depth alone (_last_term), so every row runs the same operations
-    whatever batch it is in.  Returns (rows, depth + 1).
+    out[t, r, e] = sum_j A_t[j, e] |z_r|^j with A_t[j, e] = c0_t[j + e] C(j + e, e),
+    one einsum contraction of the power table |z_r|^j, built once for all
+    twists, with the twists' A side by side on the float view; einsum's
+    own loop, not BLAS, whose gemv and gemm round a row differently.
+    Each distinct |z| is evaluated once, and a row at z < 0 is the mirror
+    c_e(-z) = (-1)^(e+1) conj(c_e(z)), exact for real z and any twist
+    (T_s(-z, q) = (-1)^s T_s(z, conj q)).  The term count comes from
+    depth alone (_last_term), so every row runs the same operations
+    whatever batch it is in.  Returns (twists, rows, depth + 1).
     """
-    c0 = _series_at_origin(_last_term(depth), twist)
-    shifted = np.lib.stride_tricks.sliding_window_view(c0, depth + 1)  # c0[j + e]
+    last = _last_term(depth)
+    c0 = np.stack([_series_at_origin(last, t) for t in twists])
+    shifted = np.lib.stride_tricks.sliding_window_view(c0, depth + 1, axis=1)  # c0[t, j + e]
+    terms = shifted.shape[1]
     # depths 2^(k-1) .. 2^k - 1 share the table of depth 2^k - 1
-    binom = _binomials(2 ** depth.bit_length() - 1)[:shifted.shape[0], :depth + 1]
-    A = (shifted * binom).view(np.float64)
+    binom = _binomials(2 ** depth.bit_length() - 1)[:terms, :depth + 1]
+    A = np.ascontiguousarray((shifted * binom).transpose(1, 0, 2))
+    A = A.reshape(terms, -1).view(np.float64)  # (terms, twists x 2 (depth + 1))
     az, where = np.unique(np.abs(z), return_inverse=True)
-    powers = az[:, None] ** np.arange(A.shape[0])
-    out = np.einsum("rj,je->re", powers, A)[where]
+    powers = az[:, None] ** np.arange(terms)
+    out = np.einsum("rj,je->re", powers, A)[where].reshape(z.size, len(twists), -1)
     neg = z < 0.0
     if neg.any():
         # (-1)^(e+1) on the real parts, (-1)^e on the imaginary parts
         mirror = np.repeat((-1.0) ** np.arange(1, depth + 2), 2)
         mirror[1::2] *= -1.0
         out[neg] *= mirror
-    return out.view(np.complex128)
+    return out.view(np.complex128).transpose(1, 0, 2)
 
 
 def _pole_jets(x: np.ndarray, depth: int) -> np.ndarray:
@@ -229,20 +238,24 @@ def unit_lattice_jets(z0, depth: int, twist: float) -> np.ndarray:
     depend on the batch it is in.
     """
     z = np.asarray(z0, dtype=np.float64)
-    if not np.all(np.abs(z) < 1.0):
+    out = _twisted_jets(z.ravel(), depth, (float(twist) % 1.0,))[0]
+    return out.reshape(z.shape + (depth + 1,))
+
+
+def _twisted_jets(flat: np.ndarray, depth: int, twists) -> np.ndarray:
+    """unit_lattice_jets of the rows flat for every twist in [0, 1): (twists, rows, depth + 1)."""
+    if not np.all(np.abs(flat) < 1.0):
         raise ValueError("lattice jets need |z0| < 1")
-    twist = float(twist) % 1.0
-    flat = z.ravel()
     n = np.rint(flat)
     zr = flat - n  # exact for 1/2 <= |z| < 1
-    out = _jets_recentred(zr, depth, twist)
+    out = _jets_recentred(zr, depth, twists)
     moved = n != 0.0
     if moved.any():
-        q = cmath.exp(TWO_PI_J * twist)
-        qn = np.where(n[moved] > 0.0, q, q.conjugate())[:, None]
-        out[moved] = (qn * (out[moved] + _pole_jets(zr[moved], depth))
-                      - _pole_jets(flat[moved], depth))
-    return out.reshape(z.shape + (depth + 1,))
+        q = np.array([cmath.exp(TWO_PI_J * t) for t in twists])[:, None, None]
+        qn = np.where((n[moved] > 0.0)[:, None], q, q.conj())
+        out[:, moved] = (qn * (out[:, moved] + _pole_jets(zr[moved], depth))
+                         - _pole_jets(flat[moved], depth))
+    return out
 
 
 def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
@@ -260,63 +273,90 @@ def lattice_tail_values(z0, s_max: int, twist: float) -> np.ndarray:
 _PHASE0_SUMS = 64
 
 
-def band_complement_power_sums(s_max: int, band, delta: float,
+def band_complement_power_sums(s_max: int, band, delta,
                                scale: float = 1.0) -> np.ndarray:
-    """out[s-2] = sum over integers m outside `band` of e^(j2pi m delta) (m/scale)^(-s).
+    """out[..., s-2] = sum over integers m outside `band` of e^(j2pi m delta) (m/scale)^(-s).
 
-    The band is a contiguous integer range containing 0.  Powers up to
-    _FOLD_POWERS take the residue-class fold (module docstring), higher
-    ones direct sums on both sides.  At phase 0 or 1/2 the sums are
-    exactly real, and on a symmetric band the odd ones exactly zero.
+    The band is a contiguous integer range containing 0.  delta is one
+    phase, giving (s_max - 1,), or a 1-D array of phases, giving
+    (phases, s_max - 1).  Equal phases mod 1 are summed once, so their
+    rows are bit-identical.  Powers up to _FOLD_POWERS take the
+    residue-class fold (module docstring), higher ones direct sums on
+    both sides.  At phase 0 or 1/2 the sums are exactly real, and on a
+    symmetric band the odd ones exactly zero.
 
     The phase-0 vector, the diagonal of every tail Gram, depends on
     (s_max, band, scale) alone: it is computed once per key, kept for
-    the process (the last _PHASE0_SUMS keys) and returned read-only.
-    Every other phase is computed per call into a new array.
+    the process (the last _PHASE0_SUMS keys) and returned read-only for
+    a scalar delta; a phase-0 row of an array is a copy of it.  Every
+    other phase is computed per call into a new array.
     """
     idx = np.asarray(band, dtype=np.int64)
     lo, hi = int(idx.min()), int(idx.max())
     if lo > 0 or hi < 0 or idx.size != hi - lo + 1:
         raise ValueError("band must be a contiguous integer range containing 0")
-    frac = float(delta) % 1.0
-    if frac == 0.0:
-        return _phase0_sums(s_max, lo, hi, float(scale))
-    return _power_sums(s_max, lo, hi, frac, scale)
+    fracs = np.asarray(delta, dtype=np.float64) % 1.0
+    scale = float(scale)
+    if fracs.ndim == 0:
+        if fracs == 0.0:
+            return _phase0_sums(s_max, lo, hi, scale)
+        return _power_sums(s_max, lo, hi, fracs[None], scale)[0]
+    if fracs.ndim != 1:
+        raise ValueError("delta must be a scalar or a 1-D array of phases")
+    uniq, where = np.unique(fracs, return_inverse=True)
+    out = np.empty((uniq.size, max(s_max - 1, 0)), dtype=np.complex128)
+    twisted = uniq != 0.0
+    if not twisted.all():
+        out[~twisted] = _phase0_sums(s_max, lo, hi, scale)
+    if twisted.any():
+        out[twisted] = _power_sums(s_max, lo, hi, uniq[twisted], scale)
+    return out[where]
 
 
 @lru_cache(maxsize=_PHASE0_SUMS)
 def _phase0_sums(s_max: int, lo: int, hi: int, scale: float) -> np.ndarray:
-    out = _power_sums(s_max, lo, hi, 0.0, scale)
+    out = _power_sums(s_max, lo, hi, np.zeros(1), scale)[0]
     out.flags.writeable = False
     return out
 
 
-def _power_sums(s_max: int, lo: int, hi: int, frac: float, scale: float) -> np.ndarray:
-    """band_complement_power_sums on the band lo..hi at phase frac in [0, 1)."""
+def _power_sums(s_max: int, lo: int, hi: int, fracs: np.ndarray, scale: float) -> np.ndarray:
+    """band_complement_power_sums on the band lo..hi at the phases fracs in [0, 1).
+
+    The folded powers take all phases through one contraction of the band
+    rows' |z|^j table (_twisted_jets).  The direct high powers share one
+    table (m/scale)^-s, each power s over its own terms a..E_s, E_s the
+    first end whose remainder bound a/(s-1) (E_s/a)^(1-s), in units of
+    the first term, is below 1e-17; each phase multiplies the table by its
+    phase factors and sums each power's terms in order.  Returns
+    (phases, s_max - 1).
+    """
     P = hi - lo + 1
-    out = np.zeros(max(s_max - 1, 0), dtype=np.complex128)
+    out = np.zeros((fracs.size, max(s_max - 1, 0)), dtype=np.complex128)
     s_fold = min(s_max, _FOLD_POWERS)
     if s_fold >= 2:
         m0 = np.arange(lo, hi + 1)
-        T = lattice_tail_values(-m0 / P, s_fold, P * frac)[:, 1:]
-        ph = np.exp(TWO_PI_J * (m0 * frac % 1.0))
-        out[:s_fold - 1] = (-scale / P) ** np.arange(2.0, s_fold + 1) * (ph @ T)
+        c = _twisted_jets(-m0 / P, s_fold - 1, tuple(P * fracs % 1.0))[:, :, 1:]
+        ph = np.exp(TWO_PI_J * (m0 * fracs[:, None] % 1.0))
+        T = (-1.0) ** np.arange(1, s_fold) * np.matmul(ph[:, None, :], c)[:, 0]
+        out[:, :s_fold - 1] = (-scale / P) ** np.arange(2.0, s_fold + 1) * T
     svals = np.arange(s_fold + 1.0, s_max + 1)
-    high = out[s_fold - 1:]
-    # sum_{m >= a} e^(j2pi sign m delta) (sign m/scale)^(-s) per side, power s
-    # in blocks of 256 up to the first E_s with the remainder bound
-    # a/(s-1) (E_s/a)^(1-s), in units of the first term, below 1e-17
-    for a, sign in ((hi + 1, 1.0), (1 - lo, -1.0)):
-        ends = a * (a / (1e-17 * (svals - 1.0))) ** (1.0 / (svals - 1.0))
-        for start in range(a, int(ends.max(initial=0.0)) + 1, 256):
-            live = int(np.count_nonzero(ends >= start))
-            m = np.arange(start, start + 256)
-            ph = np.exp(TWO_PI_J * (sign * m * frac % 1.0))
+    if svals.size:
+        high = out[:, s_fold - 1:]
+        # sum_{m >= a} e^(j2pi sign m delta) (sign m/scale)^(-s) per side
+        for a, sign in ((hi + 1, 1.0), (1 - lo, -1.0)):
+            ends = a * (a / (1e-17 * (svals - 1.0))) ** (1.0 / (svals - 1.0))
+            counts = np.floor(ends).astype(np.int64) - a + 1
+            starts = np.cumsum(counts) - counts
+            cols = np.arange(counts.sum()) - np.repeat(starts, counts)  # m - a
+            m = np.arange(a, a + counts.max())
             with np.errstate(under="ignore"):
-                pw = (m / scale)[None, :] ** -svals[:live, None]
-            high[:live] += sign ** svals[:live] * (pw @ ph)
-    if 2.0 * frac % 1.0 == 0.0:
-        out.imag = 0.0
-        if lo == -hi:
-            out[1::2] = 0.0  # odd powers cancel pairwise
+                pw = (m[cols] / scale) ** -np.repeat(svals, counts)
+            ph = np.exp(TWO_PI_J * (sign * m * fracs[:, None] % 1.0))
+            terms = np.take(ph, cols, axis=1) * pw
+            high += sign ** svals * np.add.reduceat(terms, starts, axis=1)
+    exact = 2.0 * fracs % 1.0 == 0.0
+    out.imag[exact] = 0.0
+    if lo == -hi:
+        out[exact, 1::2] = 0.0  # odd powers cancel pairwise
     return out

@@ -20,7 +20,9 @@ exact rho(K) all the same, formed from the kept K on its first read.
 
 Weight convention: ``dual_W_f(warp, spec, b)`` returns the operator D
 with D' W_f^(b) = I.  D itself carries the conjugate exponent 1 - b in
-its quadrature weight; the correction factor mixes both kernels.
+its quadrature weight; the correction factor mixes both kernels.  At the
+energy-preserving b = 1/2 the conjugate exponent is b itself: the dual's
+base is W, and one factorization serves both sides.
 """
 
 from dataclasses import dataclass
@@ -51,9 +53,11 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     every integer m outside the output band: the low powers fold the
     band's residue classes through the same lattice sums as the band
     fold, the high ones are summed until they reach double precision.
-    Exactly Hermitian: the diagonal blocks share one real phase-0 sum,
-    each block above the diagonal takes one sum, and block (j, i) is the
-    conjugate transpose of block (i, j).
+    Two band_complement_power_sums calls make every block: the shared
+    real phase-0 sum of the diagonal blocks, and one batched call for
+    the phase differences of all pairs above the diagonal, in which equal
+    differences are summed once and give bit-identical blocks.  Exactly
+    Hermitian: block (j, i) is the conjugate transpose of block (i, j).
     """
     R = fact.rows
     band = fact.spec.output_set.indices
@@ -63,18 +67,18 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     if not pieces:
         return G
     orders = np.arange(R)
-    # sums[s-2] holds power s; entry (u,v) needs s = u + v + 2
+    # sums[..., s-2] holds power s; entry (u,v) needs s = u + v + 2
     powers = orders[:, None] + orders[None, :]
-
-    def block(delta):
-        sums = lat.band_complement_power_sums(2 * R, band, delta, scale=fact.row_radius)
-        return sums[powers]
-
-    diag = block(0.0)
-    for i, pi in enumerate(pieces):
+    diag = lat.band_complement_power_sums(2 * R, band, 0.0, scale=fact.row_radius)[powers]
+    for i in range(len(pieces)):
         G[i * R:(i + 1) * R, i * R:(i + 1) * R] = diag
-        for j in range(i + 1, len(pieces)):
-            upper = block(pieces[j].xi - pi.xi)
+    rows, cols = np.triu_indices(len(pieces), 1)
+    if rows.size:
+        xi = np.array([pc.xi for pc in pieces])
+        sums = lat.band_complement_power_sums(2 * R, band, xi[cols] - xi[rows],
+                                              scale=fact.row_radius)
+        for i, j, pair in zip(rows, cols, sums):
+            upper = pair[powers]
             G[i * R:(i + 1) * R, j * R:(j + 1) * R] = upper
             G[j * R:(j + 1) * R, i * R:(i + 1) * R] = upper.conj().T
     return G
@@ -138,7 +142,8 @@ class DualFactorization:
     shared row basis; G is the exact Gram of that basis over the
     out-of-band indices; Z resums the resulting Neumann series.  The
     dual correction factor applied to the conjugate-weight operator is
-    I + H' Z H_dual: the identity plus a rank-J R product.
+    I + H' Z H_dual: the identity plus a rank-J R product.  At b = 1/2,
+    1 - b = b and fact_dual is fact, so H_dual is H.
 
     K is the compressed product that Z was solved with.  compute_Z's
     gate reads ||K||_F first and takes eigenvalues only when that bound
@@ -179,7 +184,8 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     correction.  R and kernel_tol are chosen by passing the weight-b
     build_factorization as fact; without one, the defaults are built.
     The conjugate factorization takes fact's rows and kernel_tol, and
-    shares its column basis and row folds, which do not depend on b.
+    shares its column basis and row folds, which do not depend on b; at
+    b = 1/2 it is fact itself, and only one set of kernels is built.
     """
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b

@@ -189,9 +189,13 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
 def _reweighted_factorization(warp, fact: TailFactorization, b: float) -> TailFactorization:
     """fact's factorization at weight exponent b, on fact's rows and kernel_tol.
 
-    Only the jump kernels depend on b: the column basis and the per-jump
-    row folds depend on (spec, R, twist) alone and are taken from fact.
+    Reweighting to fact's own exponent is the identity, so b == fact.b
+    returns fact itself.  Otherwise only the jump kernels are built anew:
+    the column basis and the per-jump row folds depend on (spec, R,
+    twist) alone and are taken from fact.
     """
+    if b == fact.b:
+        return fact
     spec = fact.spec
     bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=fact.kernel_tol)
     folds = {_fold_twist(spec.M, pc.xi): pc.U for pc in fact.pieces}

@@ -49,6 +49,7 @@ aliasing correction; the kernel matrix built here is its middle factor.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+import logging
 import math
 
 import numpy as np
@@ -340,12 +341,20 @@ class KernelBundle:
 
 
 def choose_rows(J_min: float, kernel_tol: float = KERNEL_TOL_DEFAULT) -> int:
-    """Smallest R with J_min^-R below tolerance, capped at ROW_CAP."""
+    """Smallest R with J_min^-R below tolerance, capped at ROW_CAP.
+
+    A clipped R is reported as one debug event on the "pswarp" logger,
+    naming J_min, the a-priori R and the cap.
+    """
     if J_min <= 1.0:
         raise ValueError("decay ratio at or below 1; no finite R converges")
     if math.isinf(J_min):
         return 1
     R = max(1, math.ceil(-math.log(kernel_tol) / math.log(J_min)))
+    if R > ROW_CAP:
+        logging.getLogger("pswarp").debug(
+            "row cap: decay ratio J_min = %.6g asks for R = %d, clipped to ROW_CAP = %d",
+            J_min, R, ROW_CAP)
     return min(R, ROW_CAP)
 
 

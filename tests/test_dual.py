@@ -113,7 +113,8 @@ def test_gram_multi_singularity_cross_phases():
 
 def test_gram_exactly_hermitian_with_one_sum_per_phase_difference(monkeypatch):
     # three jumps: one shared phase-0 sum for the diagonal blocks and one
-    # per pair above it, the blocks below filled by conjugation
+    # batched sum for the pairs above it, the blocks below filled by
+    # conjugation
     w, spec = _pl_freq()
     fact = build_factorization(w, spec, 0.5)
     calls = []
@@ -125,7 +126,7 @@ def test_gram_exactly_hermitian_with_one_sum_per_phase_difference(monkeypatch):
 
     monkeypatch.setattr(lat, "band_complement_power_sums", counted)
     G = tail_row_gram(fact)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert np.array_equal(G, G.conj().T)
     # against every ordered pair summed on its own
     R, band = fact.rows, spec.output_set.indices
@@ -207,6 +208,74 @@ def test_conjugate_factorization_reuses_the_folds():
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
     assert np.array_equal(fresh.H, dfact.H_dual)
+
+
+@pytest.mark.parametrize("N", [9, 33])
+@pytest.mark.parametrize("name", ["exponential", "piecewise_linear", "spline"])
+def test_half_weight_dual_is_built_on_the_forward_factorization(monkeypatch, name, N):
+    # at b = 1/2 the conjugate exponent is b itself, so the dual's base is
+    # W: the same operators as with the conjugate factorization rebuilt
+    w = JUMP_MAPS[name]()
+    spec = domain_spec(w, N, 2 * N + 1, b=0.5, mode=TIME_WARPING)
+
+    def duals():
+        try:
+            return dual_W_f(w, spec, 0.5), dual_W_t(w, spec, 0.5)
+        except ValueError as err:  # the series diverges at (spline, 9)
+            return str(err)
+
+    def rebuilt(warp, fact, b):
+        return build_factorization(warp, fact.spec, b, R=fact.rows, kernel_tol=fact.kernel_tol)
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
+        got = duals()
+        if (name, N) not in NO_DUAL:
+            dfact = build_dual_factorization(w, spec, 0.5)
+            assert dfact.fact_dual is dfact.fact and dfact.b_dual == dfact.b == 0.5
+        monkeypatch.setattr(saf, "_reweighted_factorization", rebuilt)
+        ref = duals()
+    if (name, N) in NO_DUAL:
+        assert isinstance(got, str) and got == ref
+        return
+    for D, D_ref in zip(got, ref):
+        assert D.correction.fact_dual is D.correction.fact
+        assert D_ref.correction.fact_dual is not D_ref.correction.fact
+        assert np.array_equal(D.entries, D_ref.entries)
+
+
+def _many_knot_spline(knots=32):
+    # w(x) = x + 0.3 sin(2 pi x)/(2 pi) through equally spaced knots; the
+    # spline's third derivative jumps at every knot but 0 and 1/2
+    x = np.arange(knots) / knots
+    return spline_map(x, x + 0.3 * np.sin(2 * np.pi * x) / (2 * np.pi))
+
+
+def test_thirty_jump_spline_pairs_with_a_two_call_gram(monkeypatch):
+    w = _many_knot_spline()
+    assert len(w.singularities) == 30
+    spec = domain_spec(w, 33, 67, b=0.5)
+    D = dual_W_f(w, spec, 0.5)
+    fact = D.correction.fact
+    W = build_W_f(w, spec, 0.5, factorization=fact)
+    assert np.linalg.norm(D.entries.conj().T @ W.entries - np.eye(33), 2) <= 1e-13
+    calls = []
+    real_sums = lat.band_complement_power_sums
+    monkeypatch.setattr(lat, "band_complement_power_sums",
+                        lambda *args, **kwargs: calls.append(args[2]) or real_sums(*args, **kwargs))
+    G = tail_row_gram(fact)
+    assert len(calls) == 2
+    assert np.array_equal(G, D.correction.G)
+    # 435 pairs above the diagonal, their knot-spacing phases repeat
+    R, xi = fact.rows, [pc.xi for pc in fact.pieces]
+    blocks = {}
+    for i in range(len(xi)):
+        for j in range(i + 1, len(xi)):
+            blocks.setdefault((xi[j] - xi[i]) % 1.0, []).append(
+                G[i * R:(i + 1) * R, j * R:(j + 1) * R])
+    assert len(blocks) < 435
+    for same in blocks.values():
+        assert all(np.array_equal(b, same[0]) for b in same[1:])
 
 
 def test_fresh_specs_share_the_aligned_fold_and_a_bit_identical_gram():

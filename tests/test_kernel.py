@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 import cmath
 import hashlib
+import logging
 import math
 
 import mpmath
@@ -310,6 +311,26 @@ def test_choose_rows():
     assert choose_rows(1.4645540566600084, 1e-12) == 64  # capped from 73
     with pytest.raises(ValueError):
         choose_rows(0.9)
+
+
+def test_clipped_rows_are_reported_once(caplog):
+    # the 3-knot map at N = 129: J_min = 1.278 asks for R = 113, the cap keeps 64
+    w = piecewise_linear_map()
+    spec = domain_spec(w, 129, 259, b=0.5)
+    with caplog.at_level(logging.DEBUG, logger="pswarp"):
+        bun = build_kernel(w, spec)
+    assert bun.rows == symbolic_kernel.ROW_CAP == 64
+    assert len(caplog.records) == 1
+    record = caplog.records[0]
+    assert record.name == "pswarp" and record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert f"J_min = {bun.J_min:.6g}" in message
+    assert "R = 113" in message and "ROW_CAP = 64" in message
+    # an R under the cap says nothing
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="pswarp"):
+        assert choose_rows(10.0, 1e-12) == 12
+    assert caplog.records == []
 
 
 def test_kernel_rows_and_ratios():

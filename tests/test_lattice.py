@@ -269,7 +269,7 @@ def test_band_complement_phase0_sums_are_kept_read_only():
     # byte for byte the uncached sums, shared and read-only
     band, scale = np.arange(-33, 34), 33.5
     got = band_complement_power_sums(40, band, 0.0, scale=scale)
-    assert got.tobytes() == _power_sums(40, -33, 33, 0.0, scale).tobytes()
+    assert got.tobytes() == _power_sums(40, -33, 33, np.zeros(1), scale)[0].tobytes()
     assert band_complement_power_sums(40, band, 2.0, scale=scale) is got
     with pytest.raises(ValueError):
         got[0] = 0.0
@@ -277,3 +277,30 @@ def test_band_complement_phase0_sums_are_kept_read_only():
     twisted = band_complement_power_sums(40, band, 0.25, scale=scale)
     assert twisted.flags.writeable
     assert band_complement_power_sums(40, band, 0.25, scale=scale) is not twisted
+
+
+@pytest.mark.parametrize("band,scale", [(np.arange(-33, 34), 33.5), (np.arange(-10, 57), 28.5)])
+def test_band_complement_phase_array_matches_the_scalar_calls(band, scale):
+    # one batched call against one call per phase, on both sides of the
+    # fold/direct switch; the repeated phase is summed once
+    phases = np.array([0.0, 0.5, 1e-7, 0.123, 0.35, 1.0 - 1e-9, 0.123])
+    got = band_complement_power_sums(128, band, phases, scale=scale)
+    assert got.shape == (phases.size, 127)
+    ref = np.stack([band_complement_power_sums(128, band, d, scale=scale) for d in phases])
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(got[3], got[6])
+    assert np.array_equal(got[0], band_complement_power_sums(128, band, 0.0, scale=scale))
+    # exactly real at phase 0 and 1/2, odd powers exactly 0 on a symmetric band
+    assert np.all(got[:2].imag == 0.0)
+    symmetric = band[0] == -band[-1]
+    assert np.all(got[:2, 1::2] == 0.0) == symmetric
+
+
+def test_band_complement_phase_array_shapes():
+    band = np.arange(-9, 10)
+    assert band_complement_power_sums(8, band, np.array([])).shape == (0, 7)
+    got = band_complement_power_sums(8, band, np.array([0.0, 2.0]))
+    assert got.flags.writeable
+    assert np.array_equal(got[0], got[1])
+    with pytest.raises(ValueError):
+        band_complement_power_sums(8, band, np.zeros((2, 2)))
