@@ -244,15 +244,11 @@ def test_half_weight_dual_is_built_on_the_forward_factorization(monkeypatch, nam
         assert np.array_equal(D.entries, D_ref.entries)
 
 
-def _many_knot_spline(knots=32):
-    # w(x) = x + 0.3 sin(2 pi x)/(2 pi) through equally spaced knots; the
-    # spline's third derivative jumps at every knot but 0 and 1/2
-    x = np.arange(knots) / knots
-    return spline_map(x, x + 0.3 * np.sin(2 * np.pi * x) / (2 * np.pi))
-
-
 def test_thirty_jump_spline_pairs_with_a_two_call_gram(monkeypatch):
-    w = _many_knot_spline()
+    # w(x) = x + 0.3 sin(2 pi x)/(2 pi) through 32 equally spaced knots; the
+    # spline's third derivative jumps at every knot but 0 and 1/2
+    x = np.arange(32) / 32
+    w = spline_map(x, x + 0.3 * np.sin(2 * np.pi * x) / (2 * np.pi))
     assert len(w.singularities) == 30
     spec = domain_spec(w, 33, 67, b=0.5)
     D = dual_W_f(w, spec, 0.5)
