@@ -146,6 +146,26 @@ def tail_rows(warp, spec, b: float, k_tail: int = 8, order: int = 16) -> np.ndar
     return matrix(warp, rows, spec.input_set.indices, b, order=order)
 
 
+def _power_sums(k_lo: int, k_hi: int, z: np.ndarray, s_lo: int, s_hi: int,
+                q: complex) -> np.ndarray:
+    """sum_{k_lo <= k < k_hi} q^k (k - z)^(-s) for s = s_lo..s_hi.
+
+    Summed in blocks of 512 terms, each block's powers of 1/(k - z) by
+    running products over s, so no (s, z, k) array is formed.
+    """
+    out = np.zeros((s_hi - s_lo + 1, z.size), dtype=np.complex128)
+    for lo in range(k_lo, k_hi, 512):
+        k = np.arange(lo, min(lo + 512, k_hi))
+        qk = q ** k
+        inv = 1.0 / (k[None, :] - z[:, None])  # (z, k), all k - z > 0
+        with np.errstate(under="ignore"):
+            pw = inv ** s_lo
+            for row in out:
+                row += pw @ qk
+                pw *= inv
+    return out
+
+
 def _one_sided_tails(s_count: int, z: np.ndarray, a0: int, q: complex) -> np.ndarray:
     """T[s-1] = sum_{k >= a0} q^k (k - z)^(-s) for s = 1..s_count, |q| = 1, q != 1.
 
@@ -153,25 +173,22 @@ def _one_sided_tails(s_count: int, z: np.ndarray, a0: int, q: complex) -> np.nda
     summation by parts, which is exact here because the forward difference
     of a power expands in higher powers:
         (1 - q) T_s = q^a (a - z)^(-s) + q sum_{d>=1} C(-s, d) T_{s+d}.
-    The downward sweep amplifies roundoff by binomial factors against only
-    (1/a)^d damping, so the recursion is anchored at a >= 160 and the head
-    of the lattice is summed directly.  Accuracy still degrades as q -> 1
-    (knots pathologically close to the output sample lattice); built-in
-    maps keep |1 - q| well away from 0.
+    Each downward step scales an error in T_{s+1} by about s / (a |1 - q|)
+    relative to T_s, so the recursion is anchored at a >= 160 / |1 - q|
+    (and a >= 160), and the head of the lattice below it is summed
+    directly.  A knot close to the output sample lattice (q near 1) thus
+    moves the anchor out.  It is capped at 2^15, so a call sums at most
+    3 * 2^15 terms: below |1 - q| = 160 / 2^15 = 0.0049 (M xi within 8e-4
+    of an integer) the anchor stays there, and the error grows as q -> 1
+    by about the product over s < 24 of 1 + s / (2^15 |1 - q|).
     """
     z = np.asarray(z, dtype=np.float64)
-    a_far = max(a0, 160)
+    a_far = max(a0, 160, min(math.ceil(160 / abs(1.0 - q)), 2 ** 15))
     s_direct = max(s_count + 1, 24)
     depth = 24
     s_top = s_direct + depth
     # direct summation for s >= s_direct: terms fall off like (a_far/k)^s
-    k_far = np.arange(a_far, 3 * a_far)
-    qk = q ** k_far
-    base = k_far[None, :] - z[:, None]  # (z, k), all >= a_far - max|z| > 0
-    s_vals = np.arange(s_direct, s_top + 1)
-    with np.errstate(under="ignore"):
-        pw = base[None, :, :] ** (-s_vals[:, None, None])
-    direct = (pw * qk[None, None, :]).sum(axis=2)
+    direct = _power_sums(a_far, 3 * a_far, z, s_direct, s_top, q)
     T = np.vstack([np.zeros((s_direct - 1, z.size), np.complex128), direct])
     # downward recursion for s < s_direct
     inv1q = 1.0 / (1.0 - q)
@@ -183,14 +200,7 @@ def _one_sided_tails(s_count: int, z: np.ndarray, a0: int, q: complex) -> np.nda
             coef *= -(s + d - 1) / d
             acc += coef * T[s + d - 1]
         T[s - 1] = (q ** a_far * (a_far - z) ** (-float(s)) + q * acc) * inv1q
-    if a_far > a0:
-        k_head = np.arange(a0, a_far)
-        qh = q ** k_head
-        hbase = k_head[None, :] - z[:, None]
-        sh = np.arange(1, s_count + 1)
-        with np.errstate(under="ignore"):
-            head = (hbase[None, :, :] ** (-sh[:, None, None]) * qh[None, None, :]).sum(axis=2)
-        T[:s_count] += head
+    T[:s_count] += _power_sums(a0, a_far, z, 1, s_count, q)
     return T[:s_count]
 
 

@@ -95,6 +95,9 @@ def dirichlet_kernel(x, index_set):
 
 
 def make_index_set(N, L) -> IndexSet:
+    """The set {-L, ..., N-L-1}; refuses an N or L whose value is not an integer."""
+    if int(N) != N or int(L) != L:
+        raise ValueError(f"index set size and offset must be integers, got N={N!r}, L={L!r}")
     return IndexSet(int(N), int(L))
 
 

@@ -20,7 +20,9 @@ exact rho(K) all the same, formed from the kept K on its first read.
 
 Weight convention: ``dual_W_f(warp, spec, b)`` returns the operator D
 with D' W_f^(b) = I.  D itself carries the conjugate exponent 1 - b in
-its quadrature weight; the correction factor mixes both kernels.  At the
+its quadrature weight; the correction factor mixes both kernels.  Both
+sides' band folds are L @ H with one row factor L, which does not depend
+on b: the conjugate factorization builds only its kernels and H.  At the
 energy-preserving b = 1/2 the conjugate exponent is b itself: the dual's
 base is W, and one factorization serves both sides.
 """
@@ -61,20 +63,20 @@ def tail_row_gram(fact: TailFactorization) -> np.ndarray:
     """
     R = fact.rows
     band = fact.spec.output_set.indices
-    pieces = fact.pieces
-    n = len(pieces) * R
+    kernels = fact.kernels
+    n = len(kernels) * R
     G = np.empty((n, n), dtype=np.complex128)
-    if not pieces:
+    if not kernels:
         return G
     orders = np.arange(R)
     # sums[..., s-2] holds power s; entry (u,v) needs s = u + v + 2
     powers = orders[:, None] + orders[None, :]
     diag = lat.band_complement_power_sums(2 * R, band, 0.0, scale=fact.row_radius)[powers]
-    for i in range(len(pieces)):
+    for i in range(len(kernels)):
         G[i * R:(i + 1) * R, i * R:(i + 1) * R] = diag
-    rows, cols = np.triu_indices(len(pieces), 1)
+    rows, cols = np.triu_indices(len(kernels), 1)
     if rows.size:
-        xi = np.array([pc.xi for pc in pieces])
+        xi = np.array([ker.xi for ker in kernels])
         sums = lat.band_complement_power_sums(2 * R, band, xi[cols] - xi[rows],
                                               scale=fact.row_radius)
         for i, j, pair in zip(rows, cols, sums):
@@ -184,8 +186,8 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     correction.  R and kernel_tol are chosen by passing the weight-b
     build_factorization as fact; without one, the defaults are built.
     The conjugate factorization takes fact's rows and kernel_tol, and
-    shares its column basis and row folds, which do not depend on b; at
-    b = 1/2 it is fact itself, and only one set of kernels is built.
+    shares its V and L, which do not depend on b; at b = 1/2 it is fact
+    itself, and only one set of kernels is built.
     """
     b = _resolve_b(spec, b)
     b_dual = 1.0 - b

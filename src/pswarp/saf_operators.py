@@ -6,11 +6,13 @@ band.  The tail rows factor through a small per-jump kernel: inverse
 powers of the row index, polynomial moments of the column index, and a
 boundary phase on each side.  Folding inverse powers over the row
 lattice has a closed form (derivatives of the periodized simple pole),
-so the aliasing inherits the same factorization, a rank-J R product of
-thin factors (J jumps, R orders).  build_W_f subtracts the product;
-build_W_t crosses the factors to the sample grids and subtracts theirs,
-so no M x N matrix is transformed.  The factorization rides along on
-the result for error analysis.
+so the aliasing inherits the same factorization, a rank-J R product
+L @ H of thin factors (J jumps, R orders).  L holds the phased row folds
+and does not depend on the weight exponent b, so the dual's conjugate
+side shares it at any b; H holds the kernels times the column moments.
+build_W_f subtracts the product; build_W_t crosses the factors to the
+sample grids and subtracts theirs, so no M x N matrix is transformed.
+The factorization rides along on the result for error analysis.
 """
 
 from __future__ import annotations
@@ -109,33 +111,23 @@ def _column_moments(input_set, col_radius: float, R: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JumpCorrection:
-    """One jump's share of the tail: phases, kernel, and folded row basis."""
-
-    xi: float
-    image: float  # map value at the jump, mod 1
-    S: np.ndarray
-    U: np.ndarray  # (M_band, R) row-lattice fold at _fold_twist; real, shared when aligned
-    lattice_aligned: bool  # xi on the output sample lattice, so the twist is 0
-    p_band: np.ndarray
-    q: np.ndarray
-    block: np.ndarray  # (R, N) S V diag(q), a row slice of the factorization's H
-
-
-@dataclass(frozen=True)
 class TailFactorization:
-    """The tail's band fold as thin factors: row_factor() @ H, rank J R.
+    """The tail's band fold as two thin factors, L @ H, rank J R.
 
-    H (J R, N) stacks the jumps' blocks S V diag(q), order fastest; each
-    piece's block is a view of its rows.
+    kernels are the jumps' SingularityKernels.  L (M, J R) sets the
+    jumps' phased row folds diag(e^(j2pi m xi)) U side by side, H (J R, N)
+    stacks their blocks S V diag(q), order fastest in both.  L does not
+    depend on b, so the factorization at the conjugate exponent shares
+    it; both are read-only.
     """
 
     spec: DomainSpec
     b: float
     rows: int
+    kernels: tuple
     V: np.ndarray  # build_bases(spec, rows)
+    L: np.ndarray
     H: np.ndarray
-    pieces: tuple
     kernel_tol: float
 
     @property
@@ -146,31 +138,23 @@ class TailFactorization:
         """Factored out-of-band rows m in [-k_tail M, k_tail M), band excluded.
 
         Row m is sum over jumps of e^(j2pi m xi) (m / row_radius)^-(i+1)
-        times the jump's block, rows ascending; a diagnostic, formed only
-        when asked for.
+        times the jump's rows of H, rows ascending; a diagnostic, formed
+        only when asked for.
         """
-        band = self.spec.output_set.indices
+        band, R = self.spec.output_set.indices, self.rows
         reach = k_tail * self.spec.M
         tails = np.concatenate([np.arange(-reach, band[0]), np.arange(band[-1] + 1, reach)])
-        Y = (tails[:, None] / self.row_radius) ** -(np.arange(self.rows)[None, :] + 1.0)
+        Y = (tails[:, None] / self.row_radius) ** -(np.arange(R)[None, :] + 1.0)
         out = np.zeros((tails.size, self.spec.N), dtype=np.complex128)
-        for pc in self.pieces:
-            p_tail = np.exp(2j * np.pi * tails * pc.xi)
-            out += p_tail[:, None] * (Y @ pc.block)
-        return out
-
-    def row_factor(self) -> np.ndarray:
-        """[diag(p_band) U] of every jump side by side: (M, J R), made per call."""
-        R = self.rows
-        out = np.empty((self.spec.M, self.H.shape[0]), dtype=np.complex128)
-        for i, pc in enumerate(self.pieces):
-            out[:, i * R:(i + 1) * R] = pc.p_band[:, None] * pc.U
+        for i, ker in enumerate(self.kernels):
+            p_tail = np.exp(2j * np.pi * tails * ker.xi)
+            out += p_tail[:, None] * (Y @ self.H[i * R:(i + 1) * R])
         return out
 
     @property
     def band_fold(self) -> np.ndarray:
-        """Closed-form aliasing, the tail rows folded onto the band: M x N, made per read."""
-        return self.row_factor() @ self.H
+        """Closed-form aliasing, the tail rows folded onto the band: L @ H, M x N, made per read."""
+        return self.L @ self.H
 
 
 def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
@@ -183,23 +167,20 @@ def build_factorization(warp, spec: DomainSpec, b: float = None, R: int = None,
     to 1 (roughly J below 1.4 for maps with rich high-order jets).
     """
     bundle = sk.build_kernel(warp, spec, b, R=R, kernel_tol=kernel_tol)
-    return _assemble(spec, bundle.b, bundle, build_bases(spec, bundle.rows), {}, kernel_tol)
+    return _assemble(spec, bundle, build_bases(spec, bundle.rows), None, kernel_tol)
 
 
 def _reweighted_factorization(warp, fact: TailFactorization, b: float) -> TailFactorization:
     """fact's factorization at weight exponent b, on fact's rows and kernel_tol.
 
     Reweighting to fact's own exponent is the identity, so b == fact.b
-    returns fact itself.  Otherwise only the jump kernels are built anew:
-    the column basis and the per-jump row folds depend on (spec, R,
-    twist) alone and are taken from fact.
+    returns fact itself.  Otherwise only the jump kernels and H are built
+    anew: V and L depend on (spec, R) alone and are fact's own.
     """
     if b == fact.b:
         return fact
-    spec = fact.spec
-    bundle = sk.build_kernel(warp, spec, b, R=fact.rows, kernel_tol=fact.kernel_tol)
-    folds = {_fold_twist(spec.M, pc.xi): pc.U for pc in fact.pieces}
-    return _assemble(spec, b, bundle, fact.V, folds, fact.kernel_tol)
+    bundle = sk.build_kernel(warp, fact.spec, b, R=fact.rows, kernel_tol=fact.kernel_tol)
+    return _assemble(fact.spec, bundle, fact.V, fact.L, fact.kernel_tol)
 
 
 def _fold_twist(M: int, xi: float) -> float:
@@ -211,62 +192,55 @@ def _fold_twist(M: int, xi: float) -> float:
     return 0.0 if _coincides(round(M * xi) / M, xi) else (-M * xi) % 1.0
 
 
-def _assemble(spec: DomainSpec, b: float, bundle, V: np.ndarray, folds: dict,
+def _assemble(spec: DomainSpec, bundle, V: np.ndarray, L: np.ndarray,
               kernel_tol: float) -> TailFactorization:
-    """One JumpCorrection per kernel of bundle, its block S V diag(q) formed in H.
+    """The factorization of bundle's kernels: H formed here, L too when None.
 
-    folds maps a twist to its row fold and gains each fold made here.
-    The growth profile is each order's largest |block| entry: |q| = 1,
-    so it is the order's peak contribution.
+    A given L is the row factor of the same spec, rows and jumps.  The
+    growth profile is each order's largest |H| row entry: |q| = 1, so it
+    is the order's peak contribution.
     """
     M, R = spec.M, bundle.rows
-    ms = np.asarray(spec.output_set.indices, dtype=np.int64)
+    kernels = bundle.kernels
     ns = np.asarray(spec.input_set.indices, dtype=np.int64)
+    if L is None:
+        ms = np.asarray(spec.output_set.indices, dtype=np.int64)
+        L = np.empty((M, len(kernels) * R), dtype=np.complex128)
+        for i, ker in enumerate(kernels):
+            np.multiply(np.exp(2j * np.pi * ms * ker.xi)[:, None],
+                        _row_fold(spec, R, _fold_twist(M, ker.xi)),
+                        out=L[:, i * R:(i + 1) * R])
+        L.flags.writeable = False
 
-    H = np.empty((len(bundle.kernels) * R, spec.N), dtype=np.complex128)
-    pieces = []
-    worst_profile = 0.0
-    floor = math.inf
-    for i, ker in enumerate(bundle.kernels):
-        twist = _fold_twist(M, ker.xi)
-        if twist not in folds:
-            folds[twist] = _row_fold(spec, R, twist)
-        U = folds[twist]
+    H = np.empty((len(kernels) * R, spec.N), dtype=np.complex128)
+    for i, ker in enumerate(kernels):
         q = np.exp(-2j * np.pi * ns * ker.image)
-        block = np.multiply(ker.S @ V, q, out=H[i * R:(i + 1) * R])
-        profile = np.abs(block).max(axis=1)
-        positive = profile[profile > 0]
-        if positive.size:
-            floor = min(floor, float(positive.min()))
-        worst_profile = max(worst_profile, float(profile[-1]))
-        pieces.append(JumpCorrection(
-            xi=ker.xi,
-            image=ker.image,
-            S=ker.S,
-            U=U,
-            lattice_aligned=twist == 0.0,
-            p_band=np.exp(2j * np.pi * ms * ker.xi),
-            q=q,
-            block=block,
-        ))
+        np.multiply(ker.S @ V, q, out=H[i * R:(i + 1) * R])
+    H.flags.writeable = False
 
-    if pieces and worst_profile > 1e3 * max(floor, kernel_tol):
-        warnings.warn(
-            "aliasing correction truncated while its expansion orders are "
-            f"still growing (last order contributes {worst_profile:.2e}); "
-            "the corrected operator is unreliable at this redundancy "
-            f"(smallest decay ratio {bundle.J_min:.3f})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if kernels:
+        profile = np.abs(H).max(axis=1)
+        positive = profile[profile > 0]
+        worst_profile = float(profile[R - 1::R].max())
+        floor = float(positive.min()) if positive.size else math.inf
+        if worst_profile > 1e3 * max(floor, kernel_tol):
+            warnings.warn(
+                "aliasing correction truncated while its expansion orders are "
+                f"still growing (last order contributes {worst_profile:.2e}); "
+                "the corrected operator is unreliable at this redundancy "
+                f"(smallest decay ratio {spec.feasibility.J_min:.3f})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     return TailFactorization(
         spec=spec,
-        b=b,
+        b=bundle.b,
         rows=R,
+        kernels=kernels,
         V=V,
+        L=L,
         H=H,
-        pieces=tuple(pieces),
         kernel_tol=float(kernel_tol),
     )
 
@@ -319,6 +293,6 @@ def build_W_t(warp, spec: DomainSpec, b: float = None, *,
     base = swf.swf_time(warp, spec, b=b)
     b = base.b
     fact = _factorization(warp, spec, b, factorization)
-    fold = _to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+    fold = _to_time_product(fact.L, fact.H, spec.output_set, spec.input_set)
     return OperatorMatrix(kind="saf_time", b=b, spec=spec,
                           entries=base.entries - fold, correction=fact)

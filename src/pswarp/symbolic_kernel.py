@@ -332,12 +332,7 @@ class SingularityKernel:
 class KernelBundle:
     b: float
     rows: int  # R: number of jump orders kept
-    kernels: list
-
-    @property
-    def J_min(self):
-        vals = [min(k.J_plus, k.J_minus) for k in self.kernels]
-        return min(vals) if vals else math.inf
+    kernels: tuple
 
 
 def choose_rows(J_min: float, kernel_tol: float = KERNEL_TOL_DEFAULT) -> int:
@@ -414,7 +409,7 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
         S[:, k + level, k] = scale ** (-level - 1) * (
             alpha[0::2, level, level:] * jp[:, k] - alpha[1::2, level, level:] * jm[:, k])
 
-    kernels = [
+    kernels = tuple(
         SingularityKernel(
             xi=float(xi),
             image=float(warp.eval(xi) % 1.0),
@@ -423,5 +418,5 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
             J_minus=Jm,
         )
         for xi, S_j, (Jp, Jm) in zip(warp.singularities, S, ratios)
-    ]
+    )
     return KernelBundle(b=b, rows=R, kernels=kernels)

@@ -44,6 +44,19 @@ def test_index_set_rejects_bad_L():
         di.make_index_set(8, -1)
 
 
+def test_sizes_must_be_integers():
+    w = wm.exponential_map()
+    for sizes in ({"N": 33.9}, {"M": 67.5}, {"L_N": 16.7}, {"L_M": 33.2}):
+        args = {"N": 33, "M": 67, **sizes}
+        with pytest.raises(ValueError, match="integers"):
+            di.domain_spec(w, **args)
+    # integer-valued numbers and numpy scalars keep working
+    spec = di.domain_spec(w, np.int64(33), 67.0, L_N=np.float64(16), L_M=np.int32(33))
+    assert spec.input_set == di.make_index_set(33, 16)
+    assert spec.output_set == di.make_index_set(67, 33)
+    assert type(spec.input_set.N) is int and type(spec.output_set.L) is int
+
+
 @given(N=st.integers(1, 200), L=st.integers(0, 199))
 @settings(max_examples=80, deadline=None)
 def test_index_set_invariants(N, L):

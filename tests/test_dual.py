@@ -132,7 +132,7 @@ def test_gram_exactly_hermitian_with_one_sum_per_phase_difference(monkeypatch):
     R, band = fact.rows, spec.output_set.indices
     orders = np.arange(R)
     ref = np.block([[real_sums(2 * R, band, pj.xi - pi.xi, scale=fact.row_radius)[
-        orders[:, None] + orders[None, :]] for pj in fact.pieces] for pi in fact.pieces])
+        orders[:, None] + orders[None, :]] for pj in fact.kernels] for pi in fact.kernels])
     assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -196,15 +196,14 @@ def test_diverging_series_is_refused():
 
 
 def test_conjugate_factorization_reuses_the_folds():
-    # bases and row folds depend on (spec, R, xi) only, so the conjugate
+    # V and the row factor L depend on (spec, R, xi) only, so the conjugate
     # weight shares them; the result is the same as building it afresh
     w, spec = _pl_freq()
     dfact = build_dual_factorization(w, spec, b=0.3)
     fact, dual = dfact.fact, dfact.fact_dual
     assert dual.V is fact.V
-    assert [pc.lattice_aligned for pc in dual.pieces] == [True, False, False]
-    for pc, pd in zip(fact.pieces, dual.pieces):
-        assert pd.U is pc.U
+    assert dual.L is fact.L
+    assert [saf._fold_twist(spec.M, ker.xi) == 0.0 for ker in dual.kernels] == [True, False, False]
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
     assert np.array_equal(fresh.H, dfact.H_dual)
@@ -263,7 +262,7 @@ def test_thirty_jump_spline_pairs_with_a_two_call_gram(monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(G, D.correction.G)
     # 435 pairs above the diagonal, their knot-spacing phases repeat
-    R, xi = fact.rows, [pc.xi for pc in fact.pieces]
+    R, xi = fact.rows, [ker.xi for ker in fact.kernels]
     blocks = {}
     for i in range(len(xi)):
         for j in range(i + 1, len(xi)):
@@ -282,7 +281,9 @@ def test_fresh_specs_share_the_aligned_fold_and_a_bit_identical_gram():
     lat._phase0_sums.cache_clear()
     cold = build_dual_factorization(w, domain_spec(w, 33, 67, b=0.5))
     warm = build_dual_factorization(w, domain_spec(w, 33, 67, b=0.5))
-    assert warm.fact.pieces[0].U is cold.fact.pieces[0].U
+    info = saf._aligned_fold.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(warm.fact.L, cold.fact.L)
     assert np.array_equal(warm.G, cold.G)
 
 
@@ -294,16 +295,15 @@ def test_dual_keeps_the_factorization_kernel_tol():
     assert dfact.fact_dual.rows == fact.rows
 
 
-def test_stacked_blocks_are_the_pieces_blocks():
+def test_stacked_blocks_are_the_kernels_blocks():
     w, spec = _pl_freq()
     fact = build_factorization(w, spec, 0.3)
     H = fact.H
     R = fact.rows
-    assert H.shape == (len(fact.pieces) * R, spec.N)
-    for i, pc in enumerate(fact.pieces):
-        assert np.array_equal(pc.block, pc.S @ fact.V * pc.q)
-        assert np.array_equal(H[i * R:(i + 1) * R], pc.block)
-        assert np.shares_memory(pc.block, H)
+    assert H.shape == (len(fact.kernels) * R, spec.N)
+    for i, ker in enumerate(fact.kernels):
+        q = np.exp(-2j * np.pi * spec.input_set.indices * ker.image)
+        assert np.array_equal(H[i * R:(i + 1) * R], ker.S @ fact.V * q)
 
 
 def test_dual_build_computes_the_radius_once(monkeypatch):
@@ -470,7 +470,7 @@ def test_dual_freq_knot_just_off_the_sample_lattice(delta):
     spec = domain_spec(w, 33, 67, b=0.5)
     D = dual_W_f(w, spec)
     fact = D.correction.fact
-    assert fact.pieces[1].lattice_aligned == (delta == 0.0)
+    assert (saf._fold_twist(spec.M, fact.kernels[1].xi) == 0.0) == (delta == 0.0)
     Wf = build_W_f(w, spec, factorization=fact)
     # measured 8.3e-15 or less
     assert Wf.deviation_from_identity(D) <= 1e-12
@@ -660,7 +660,7 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
 
     def corrected(b, fact):
         # the fold crossed as its two factors, as the operators cross it
-        fold = swf._to_time_product(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+        fold = swf._to_time_product(fact.L, fact.H, spec.output_set, spec.input_set)
         return interpolator(b) - fold
 
     _assert_within_ulps(swf.swf_time(w, spec).entries, interpolator(b).real, 2)
@@ -717,7 +717,7 @@ def test_factored_crossing_matches_the_dense_crossing(name, N, b):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "aliasing correction truncated", RuntimeWarning)
         fact = build_factorization(w, spec, b)
-        crossings = [(fact.row_factor(), fact.H, spec.output_set, spec.input_set)]
+        crossings = [(fact.L, fact.H, spec.output_set, spec.input_set)]
         if (name, N) not in NO_DUAL:
             dfact = build_dual_factorization(w, spec, fact=fact)
             crossings.append((dfact.H.conj().T, dfact.Z @ dfact.H_dual,
@@ -734,7 +734,7 @@ def test_factored_crossing_matches_the_dense_crossing_on_skewed_sets():
     spec = domain_spec(w, 33, 89, L_N=10, L_M=40, b=0.5)
     dfact = build_dual_factorization(w, spec)
     fact = dfact.fact
-    _assert_crossing_matches_dense(fact.row_factor(), fact.H, spec.output_set, spec.input_set)
+    _assert_crossing_matches_dense(fact.L, fact.H, spec.output_set, spec.input_set)
     _assert_crossing_matches_dense(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
                                    spec.input_set, spec.input_set)
 

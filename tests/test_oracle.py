@@ -97,6 +97,21 @@ def test_poisson_fold_identity_b0():
     assert np.abs(X - A - W).max() < 1e-10
 
 
+def test_aliasing_matrix_near_a_lattice_aligned_knot():
+    # the knot 0.3433... sits at M xi = 23.0033, so the lattice phase q of
+    # its tails is within |1 - q| = 0.021 of 1; anchoring the summation by
+    # parts at a fixed 160 left the fold 8.1e-4 (relative max) off
+    w = wm.piecewise_linear_map([0.0, 0.3433326086015317, 0.7666059436651316],
+                                [0.0, 0.5128015966623538, 0.6538578466443594])
+    sp = di.domain_spec(w, 33, 67)
+    assert abs(1 - np.exp(-2j * np.pi * 67 * w.singularities[1])) < 0.03
+    W = dox.matrix(w, sp.output_set.indices, sp.input_set.indices, 0.5)
+    ref = fw_interpolation_matrix(w, sp, 0.5) - W
+    A = dox.aliasing_matrix(w, sp, 0.5)
+    # measured 3.1e-13
+    assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_row_energy_b_half():
     # at b = 1/2 the continuous operator is an isometry; the truncated row
     # sum falls short of 1 by the analytic tail of the first-order jump decay

@@ -19,6 +19,7 @@ from pswarp.saf_operators import (
     build_W_f,
     build_W_t,
     _aligned_fold,
+    _fold_twist,
     _row_fold,
 )
 from pswarp.warp_map import (
@@ -131,10 +132,17 @@ def test_basis_rows_and_normalization():
 def test_aligned_fold_is_shared_by_every_spec_of_the_output_set():
     w = exponential_map()
     first = build_factorization(w, domain_spec(w, 33, 67, b=0.4), 0.4)
-    again = build_factorization(w, domain_spec(w, 33, 67, b=0.6), 0.6, R=first.rows)
-    U = first.pieces[0].U
-    assert first.pieces[0].lattice_aligned and U.dtype == np.float64
-    assert again.pieces[0].U is U
+    spec = domain_spec(w, 33, 67, b=0.6)
+    hits = _aligned_fold.cache_info().hits
+    again = build_factorization(w, spec, 0.6, R=first.rows)
+    assert _aligned_fold.cache_info().hits == hits + 1
+    (ker,) = again.kernels
+    assert _fold_twist(spec.M, ker.xi) == 0.0
+    U = _aligned_fold(spec.output_set, spec.row_radius, again.rows)
+    assert U.dtype == np.float64
+    assert _aligned_fold(first.spec.output_set, first.spec.row_radius, first.rows) is U
+    phase = np.exp(2j * np.pi * spec.output_set.indices * ker.xi)
+    assert np.array_equal(again.L, phase[:, None] * U)
     with pytest.raises(ValueError):
         U[0, 0] = 0.0
 
@@ -157,10 +165,19 @@ def test_twisted_folds_are_not_kept():
     size = _aligned_fold.cache_info().currsize
     first = build_factorization(w, domain_spec(w, 33, 67, b=0.5), 0.5)
     again = build_factorization(w, domain_spec(w, 33, 67, b=0.5), 0.5)
-    assert not any(pc.lattice_aligned for pc in first.pieces)
+    assert not any(_fold_twist(67, ker.xi) == 0.0 for ker in first.kernels)
     assert _aligned_fold.cache_info().currsize == size
-    for pc, pd in zip(first.pieces, again.pieces):
-        assert pd.U is not pc.U and np.array_equal(pd.U, pc.U)
+    assert again.L is not first.L and np.array_equal(again.L, first.L)
+
+
+def test_factors_are_read_only():
+    # the conjugate side shares L, and at b = 1/2 the whole factorization
+    w = piecewise_linear_map([0.0, 0.3, 0.7], [0.0, 0.27, 0.66])
+    fact = build_factorization(w, domain_spec(w, 33, 67, b=0.5), 0.5)
+    assert fact.L.shape == (67, 3 * fact.rows) and fact.H.shape == (3 * fact.rows, 33)
+    for factor in (fact.L, fact.H):
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
 
 def test_basis_peaks_at_input_edge():
@@ -214,10 +231,10 @@ def test_factored_tail_rows_far_from_band():
     for r, m in enumerate(far):
         y = (m / fact.row_radius) ** -(orders + 1.0)
         row = np.zeros(ns.size, dtype=complex)
-        for pc in fact.pieces:
-            row += (np.exp(2j * np.pi * m * pc.xi)
-                    * (y @ pc.S @ fact.V)
-                    * np.exp(-2j * np.pi * ns * pc.image))
+        for ker in fact.kernels:
+            row += (np.exp(2j * np.pi * m * ker.xi)
+                    * (y @ ker.S @ fact.V)
+                    * np.exp(-2j * np.pi * ns * ker.image))
         assert np.max(np.abs(row - ref[r])) < 1e-10, m
 
 
@@ -241,12 +258,13 @@ def _explicit_band_folds(fact, Ks):
     spec = fact.spec
     M = spec.M
     ms = np.asarray(spec.output_set.indices, dtype=float)
+    ns = spec.input_set.indices
     rr = fact.row_radius
     ks = np.arange(1, max(Ks) + 1)
     outs = {K: np.zeros((ms.size, fact.V.shape[1]), dtype=complex)
             for K in Ks}
-    for pc in fact.pieces:
-        shell = np.exp(-2j * np.pi * M * pc.xi) ** ks
+    for ker in fact.kernels:
+        shell = np.exp(-2j * np.pi * M * ker.xi) ** ks
         inv_m = rr / (ms[:, None] - ks[None, :] * M)
         inv_p = rr / (ms[:, None] + ks[None, :] * M)
         partial = {K: np.empty((ms.size, fact.rows), dtype=complex) for K in Ks}
@@ -260,9 +278,9 @@ def _explicit_band_folds(fact, Ks):
             for K in Ks:
                 partial[K][:, i] = run[:, K - 1]
         for K in Ks:
-            outs[K] += (pc.p_band[:, None]
-                        * (partial[K] @ pc.S @ fact.V)
-                        * pc.q[None, :])
+            outs[K] += (np.exp(2j * np.pi * ms * ker.xi)[:, None]
+                        * (partial[K] @ ker.S @ fact.V)
+                        * np.exp(-2j * np.pi * ns * ker.image)[None, :])
     return [outs[K] for K in Ks]
 
 
@@ -305,7 +323,7 @@ def test_corrected_freq_on_identity_map():
     Xf = swf.swf_freq(w, spec)
     assert Wf.kind == "saf_freq"
     assert isinstance(Wf.correction, TailFactorization)
-    assert Wf.correction.pieces == ()
+    assert Wf.correction.kernels == () and Wf.correction.L.shape == (67, 0)
     assert np.array_equal(Wf.entries, Xf.entries)
 
 
@@ -420,7 +438,7 @@ def test_time_correction_shift_paths(values, flags):
         w = piecewise_linear_map([0.0, 0.2, 0.6], values)
     spec = domain_spec(w, 15, 45, mode=TIME_WARPING)
     Wt = build_W_t(w, spec)
-    assert [pc.lattice_aligned for pc in Wt.correction.pieces] == flags
+    assert [_fold_twist(45, ker.xi) == 0.0 for ker in Wt.correction.kernels] == flags
     A = dox.aliasing_matrix(w, spec, 0.5)
     out_ks = np.asarray(spec.output_set.indices)
     in_ks = np.asarray(spec.input_set.indices)
