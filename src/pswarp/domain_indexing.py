@@ -170,7 +170,7 @@ class DomainSpec:
         if self.mode == TIME_WARPING and not (self.input_set.symmetric
                                               and self.output_set.symmetric):
             raise ValueError("time-warping mode needs odd N, M with symmetric index sets")
-        _resolve_b(self, self.b)
+        object.__setattr__(self, "b", _resolve_b(self, self.b))
         object.__setattr__(self, "feasibility", check_feasibility(self))
 
     @property

@@ -7,7 +7,8 @@ tails live in the span of a few inverse-power rows per derivative jump,
 so the Neumann series inverting the pairing collapses to a single
 linear solve in that compressed space.  The result is a dual matrix
 that reconstructs exactly from the corrected forward operator, at the
-cost of one extra rank-limited correction factor.
+cost of one extra rank-limited correction factor I + P Q, kept as two
+thin factors with the inverse on the smaller side.
 
 The series converges exactly when the compressed tail product K has
 spectral radius below one.  ``compute_Z`` forms K once; the gate and the
@@ -90,32 +91,30 @@ def _spectral_radius(K: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(K)), initial=0.0))
 
 
-def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gate and resum the compressed tail-product series: (Z, K).
+def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Gate and resum the compressed tail-product series: ((P, Q), K).
 
-    Z = G (I - H_dual H' G)^(-1) satisfies
+    With Z = G (I - H_dual H' G)^(-1),
 
-        sum_{k>=1} (E' E_dual)^k = H' Z H_dual
+        sum_{k>=1} (E' E_dual)^k = H' Z H_dual = P Q
 
     for tail operators E = Yhat H and E_dual = Yhat H_dual sharing the
-    phased inverse-power rows Yhat with Gram G.
+    phased inverse-power rows Yhat with Gram G.  The name is kept for
+    the benchmark's resummation span; Z itself is formed only at n <= N.
 
     The gate and the solve read one product K, formed once with
     HG = H' G in the smaller of two spaces that share its nonzero
     eigenvalues.  With n = J R rows and N columns in H, n <= N takes the
-    n x n K = H_dual HG and solves Z (I - K) = G; n > N takes the N x N
-    K = HG H_dual and, by push-through
-    (I - H_dual HG)^(-1) = I + H_dual (I - K)^(-1) HG, forms
-    Z = G + (G H_dual) (I - K)^(-1) HG.
+    n x n K = H_dual HG, solves Z (I - K) = G, and P = H', Q = Z H_dual;
+    n > N takes the N x N K = HG H_dual, and by push-through
+    P = H' Z = (I - K)^(-1) HG, Q = H_dual.
 
-    The gate reads ||K||_F first: the spectral radius is at most that
-    norm, so below one the series converges and no eigenvalue is taken.
-    Only at or above it does the gate take the exact radius from the
-    eigenvalues of K, and it raises ValueError, before any solve, when
-    that radius is at or above one: the series diverges there, which
-    happens exactly when the sampling geometry is too tight for the
-    correction feasibility (decay ratios near one leave too much tail
-    energy).  K is returned for DualFactorization.spectral_radius.
+    The gate reads ||K||_F >= rho(K) first and takes the eigenvalues of
+    K only when that bound is at or above one; it raises ValueError,
+    before any solve, when the radius is at or above one: the series
+    diverges there, because the sampling geometry is too tight (decay
+    ratios near one leave too much tail energy).  P, Q and K are
+    read-only; K is kept for DualFactorization.spectral_radius.
     """
     n, N = H.shape
     HG = H.conj().T @ G
@@ -130,41 +129,37 @@ def compute_Z(H: np.ndarray, G: np.ndarray, H_dual: np.ndarray) -> tuple[np.ndar
                 "outside the feasibility range for an analytic dual")
     B = np.eye(K.shape[0]) - K
     if n > N:
-        return G + (G @ H_dual) @ np.linalg.solve(B, HG), K
-    # solve Z B = G by the transposed system; LU with partial pivoting
-    return np.linalg.solve(B.T, G.T).T, K
+        P, Q = np.linalg.solve(B, HG), H_dual
+    else:
+        # solve Z B = G by the transposed system; LU with partial pivoting
+        P, Q = H.conj().T, np.linalg.solve(B.T, G.T).T @ H_dual
+    for a in (P, Q, K):
+        a.flags.writeable = False
+    return (P, Q), K
 
 
 @dataclass(frozen=True)
 class DualFactorization:
-    """Compressed correction data for an analytically inverted operator.
+    """The dual correction factor I + P Q, as two read-only thin factors.
 
-    H and H_dual, read from fact and fact_dual, stack the correction
-    blocks of the inverted exponent b and its conjugate 1 - b over a
-    shared row basis; G is the exact Gram of that basis over the
-    out-of-band indices; Z resums the resulting Neumann series.  The
-    dual correction factor applied to the conjugate-weight operator is
-    I + H' Z H_dual: the identity plus a rank-J R product.  At b = 1/2,
-    1 - b = b and fact_dual is fact, so H_dual is H.
+    fact and fact_dual are the tail factorizations of the inverted
+    exponent b and its conjugate 1 - b over a shared row basis (at
+    b = 1/2, fact_dual is fact).  compute_Z resums their tail product
+    into P (N, n) and Q (n, N), n = J R, with the inverse on the smaller
+    side: P = H' and Q = Z H_dual when n <= N, P = H' Z and Q = H_dual
+    when n > N.  No n x n matrix is kept.
 
-    K is the compressed product that Z was solved with.  compute_Z's
-    gate reads ||K||_F first and takes eigenvalues only when that bound
-    is at or above one; a build with spectral radius at or above one is
-    refused.  spectral_radius is the exact spectral radius of K all the
-    same, not the bound: it takes the eigenvalues of K on its first read
-    and keeps the value.
+    K is the product the correction was solved with, n x n or N x N,
+    whichever is smaller.  spectral_radius is its exact spectral radius,
+    not the gate's norm bound: taken from the eigenvalues of K on its
+    first read and kept.
     """
 
-    b: float
-    b_dual: float
-    G: np.ndarray
-    Z: np.ndarray
-    K: np.ndarray
     fact: TailFactorization
     fact_dual: TailFactorization
-
-    H = property(lambda self: self.fact.H)
-    H_dual = property(lambda self: self.fact_dual.H)
+    P: np.ndarray
+    Q: np.ndarray
+    K: np.ndarray
 
     @cached_property
     def spectral_radius(self) -> float:
@@ -172,8 +167,8 @@ class DualFactorization:
         return _spectral_radius(self.K)
 
     def correction_factor(self) -> np.ndarray:
-        """I + H' Z H_dual, the dense N x N exact-pairing correction that dual_W_f applies."""
-        return np.eye(self.fact.spec.N) + self.H.conj().T @ self.Z @ self.H_dual
+        """I + P Q, the dense N x N exact-pairing correction that dual_W_f applies."""
+        return np.eye(self.fact.spec.N) + self.P @ self.Q
 
 
 def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
@@ -181,22 +176,19 @@ def build_dual_factorization(warp, spec: DomainSpec, b: float = None,
     """Factor the dual correction for the weight-b operator on this spec.
 
     Builds both weight kernels on a shared expansion order, assembles
-    the exact tail Gram, and resums the correction.  Maps with no
-    derivative jumps give empty compressed blocks and an identity
-    correction.  R and kernel_tol are chosen by passing the weight-b
-    build_factorization as fact; without one, the defaults are built.
-    The conjugate factorization takes fact's rows and kernel_tol, and
-    shares its V and L, which do not depend on b; at b = 1/2 it is fact
-    itself, and only one set of kernels is built.
+    the exact tail Gram, and resums the correction; the Gram is not
+    kept.  Maps with no derivative jumps give empty factors and an
+    identity correction.  R and kernel_tol are chosen by passing the
+    weight-b build_factorization as fact; without one, the defaults are
+    built.  The conjugate factorization takes fact's rows and
+    kernel_tol, and shares its V and L, which do not depend on b; at
+    b = 1/2 it is fact itself, and only one set of kernels is built.
     """
     b = _resolve_b(spec, b)
-    b_dual = 1.0 - b
     fact = saf._factorization(warp, spec, b, fact)
-    fact_dual = saf._reweighted_factorization(warp, fact, b_dual)
-    G = tail_row_gram(fact)
-    Z, K = compute_Z(fact.H, G, fact_dual.H)
-    return DualFactorization(b=b, b_dual=b_dual, G=G, Z=Z, K=K,
-                             fact=fact, fact_dual=fact_dual)
+    fact_dual = saf._reweighted_factorization(warp, fact, 1.0 - b)
+    (P, Q), K = compute_Z(fact.H, tail_row_gram(fact), fact_dual.H)
+    return DualFactorization(fact=fact, fact_dual=fact_dual, P=P, Q=Q, K=K)
 
 
 def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
@@ -211,9 +203,9 @@ def dual_W_f(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     """
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)
-    base = saf.build_W_f(warp, spec, b=dfact.b_dual,
-                         factorization=dfact.fact_dual)
-    return OperatorMatrix(kind="dual_freq", b=dfact.b_dual, spec=spec,
+    b_dual = dfact.fact_dual.b
+    base = saf.build_W_f(warp, spec, b=b_dual, factorization=dfact.fact_dual)
+    return OperatorMatrix(kind="dual_freq", b=b_dual, spec=spec,
                           entries=base.entries @ dfact.correction_factor(),
                           correction=dfact)
 
@@ -224,7 +216,7 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     The conjugate-weight W_t times the frequency dual's correction
     factor taken to sample coordinates by the input-side DFT
     conjugation.  The identity is its own twin; the rank-J R rest
-    crosses as its factors H' and Z H_dual, and only its real part is
+    crosses as its factors P and Q, and only its real part is
     formed: real, float64, like the forward interpolator.  A map with no
     jump gets no correction, as in dual_W_f (atan_tan_map() at
     M = 2N + 1: ||D' W_t - I||_2 = 0.12 at N = 33, with no warning).
@@ -232,10 +224,9 @@ def dual_W_t(warp, spec: DomainSpec, b: float = None) -> OperatorMatrix:
     _require_tw(spec)
     _require_swf_feasible(spec)
     dfact = build_dual_factorization(warp, spec, b)
-    base = saf.build_W_t(warp, spec, b=dfact.b_dual,
-                         factorization=dfact.fact_dual)
-    rest = _to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                            spec.input_set, spec.input_set)
+    b_dual = dfact.fact_dual.b
+    base = saf.build_W_t(warp, spec, b=b_dual, factorization=dfact.fact_dual)
+    rest = _to_time_product(dfact.P, dfact.Q, spec.input_set, spec.input_set)
     entries = base.entries @ (np.eye(spec.N) + rest)
-    return OperatorMatrix(kind="dual_time", b=dfact.b_dual, spec=spec,
+    return OperatorMatrix(kind="dual_time", b=b_dual, spec=spec,
                           entries=entries, correction=dfact)

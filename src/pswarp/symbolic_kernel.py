@@ -368,10 +368,13 @@ def build_kernel(warp, spec, b: float = None, R: int = None,
 
     Refuses when any one-sided decay ratio is at or below 1: the
     correction series would diverge there, and the sampling geometry has
-    to change (more output samples, or less skewed index sets).
+    to change (more output samples, or less skewed index sets).  Refuses
+    a kernel_tol outside (0, 1), whether R is chosen from it or given.
     """
     spec.require_map(warp)
     b = _resolve_b(spec, b)
+    if not 0.0 < kernel_tol < 1.0:
+        raise ValueError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
     if spec.row_radius <= 0:
         raise ValueError("output index set fully skewed; row scale vanished")
 

@@ -176,8 +176,9 @@ class WarpMap:
                 dw = np.append(dw, p.jets(p.lo + t, 1)[1])
         self.min_dw = float(dw.min())
         self.max_dw = float(dw.max())
-        if self.min_dw <= 0:
-            raise ValueError("map is not strictly increasing")
+        if not 0.0 < self.min_dw <= self.max_dw < math.inf:
+            raise ValueError("map is not strictly increasing with finite slopes: slope "
+                             f"range [{self.min_dw:g}, {self.max_dw:g}]")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -378,8 +379,8 @@ def exponential_map() -> WarpMap:
 
 def atan_tan_map(nu=2.0) -> WarpMap:
     """w(x) = atan(nu tan(pi x)) / pi, everywhere smooth for nu > 0."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     return WarpMap([Piece(0.0, 1.0, "atan_tan", (float(nu),))])
 
 
@@ -442,6 +443,8 @@ def piecewise_linear_map(knots=None, values=None, smoothing=0.0) -> WarpMap:
     slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(knots))]
 
     eps = float(smoothing)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"smoothing must be non-negative and finite, got {smoothing!r}")
     if eps == 0.0:
         pieces = [
             Piece(xs[i], xs[i + 1], "poly", (ys[i], slopes[i]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pswarp import domain_indexing as di
+from pswarp import saf_operators as saf
 from pswarp import swf_operators as swf
 from pswarp import warp_map as wm
 
@@ -55,6 +56,20 @@ def test_sizes_must_be_integers():
     assert spec.input_set == di.make_index_set(33, 16)
     assert spec.output_set == di.make_index_set(67, 33)
     assert type(spec.input_set.N) is int and type(spec.output_set.L) is int
+
+
+def test_spec_b_is_stored_as_a_float():
+    # the spec's b follows the per-call rule float(b), so a string or a
+    # numpy scalar never reaches an operator built with b = None
+    w = wm.exponential_map()
+    ref = saf.build_W_f(w, di.domain_spec(w, 9, 19, b=0.5))
+    for b in ("0.5", np.float32(0.5), np.float64(0.5)):
+        spec = di.domain_spec(w, 9, 19, b=b)
+        assert type(spec.b) is float and spec.b == 0.5
+        W = saf.build_W_f(w, spec)
+        assert type(W.b) is float and type(W.correction.b) is float
+        assert np.array_equal(W.entries, ref.entries)
+    assert di.domain_spec(w, 9, 19, b=True).b == 1.0
 
 
 @given(N=st.integers(1, 200), L=st.integers(0, 199))

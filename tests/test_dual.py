@@ -66,7 +66,8 @@ def _richardson(levels):
 
 def _neumann_sandwich(dfact, terms):
     """I + sum_{k=1}^{terms} of the compressed tail-product powers."""
-    T = dfact.H.conj().T @ dfact.G @ dfact.H_dual
+    fact = dfact.fact
+    T = fact.H.conj().T @ tail_row_gram(fact) @ dfact.fact_dual.H
     N = T.shape[0]
     out = np.eye(N, dtype=complex)
     P = np.eye(N, dtype=complex)
@@ -140,9 +141,10 @@ def test_identity_map_has_empty_compression():
     w = identity_map()
     spec = domain_spec(w, 33, 67, b=0.5)
     dfact = build_dual_factorization(w, spec)
-    assert dfact.H.shape == (0, 33)
-    assert dfact.G.shape == (0, 0)
-    assert dfact.Z.shape == (0, 0)
+    assert dfact.fact.H.shape == (0, 33)
+    assert tail_row_gram(dfact.fact).shape == (0, 0)
+    assert dfact.P.shape == (33, 0) and dfact.Q.shape == (0, 33)
+    assert dfact.K.shape == (0, 0)
     assert dfact.spectral_radius == 0.0
     assert np.array_equal(dfact.correction_factor(), np.eye(33))
 
@@ -156,7 +158,7 @@ def test_resummed_kernel_matches_truncated_series():
     # product; the radius is ~9e-3 here so forty terms are fully converged
     w, spec = _exp_freq()
     dfact = build_dual_factorization(w, spec)
-    sandwich = dfact.H.conj().T @ dfact.Z @ dfact.H_dual
+    sandwich = dfact.P @ dfact.Q
     ref = _neumann_sandwich(dfact, 40) - np.eye(33)
     assert np.max(np.abs(sandwich - ref)) < 1e-9
 
@@ -166,8 +168,8 @@ def test_mixed_kernel_resummation():
     # share one Gram, and the series still collapses to the solve
     w, spec = _exp_freq()
     dfact = build_dual_factorization(w, spec, b=0.0)
-    assert dfact.b_dual == 1.0
-    sandwich = dfact.H.conj().T @ dfact.Z @ dfact.H_dual
+    assert dfact.fact_dual.b == 1.0
+    sandwich = dfact.P @ dfact.Q
     ref = _neumann_sandwich(dfact, 40) - np.eye(33)
     assert np.max(np.abs(sandwich - ref)) < 1e-9
 
@@ -206,7 +208,7 @@ def test_conjugate_factorization_reuses_the_folds():
     assert [saf._fold_twist(spec.M, ker.xi) == 0.0 for ker in dual.kernels] == [True, False, False]
     fresh = build_factorization(w, spec, 0.7, R=fact.rows)
     assert np.array_equal(fresh.band_fold, dual.band_fold)
-    assert np.array_equal(fresh.H, dfact.H_dual)
+    assert np.array_equal(fresh.H, dual.H)
 
 
 @pytest.mark.parametrize("N", [9, 33])
@@ -231,7 +233,7 @@ def test_half_weight_dual_is_built_on_the_forward_factorization(monkeypatch, nam
         got = duals()
         if (name, N) not in NO_DUAL:
             dfact = build_dual_factorization(w, spec, 0.5)
-            assert dfact.fact_dual is dfact.fact and dfact.b_dual == dfact.b == 0.5
+            assert dfact.fact_dual is dfact.fact and dfact.fact.b == 0.5
         monkeypatch.setattr(saf, "_reweighted_factorization", rebuilt)
         ref = duals()
     if (name, N) in NO_DUAL:
@@ -260,7 +262,13 @@ def test_thirty_jump_spline_pairs_with_a_two_call_gram(monkeypatch):
                         lambda *args, **kwargs: calls.append(args[2]) or real_sums(*args, **kwargs))
     G = tail_row_gram(fact)
     assert len(calls) == 2
-    assert np.array_equal(G, D.correction.G)
+    # the dual was resummed from this G: 1860 rows over N = 33 columns, so
+    # it holds P = (I - K)^(-1) H'G and Q = H, and no n x n array
+    (P, Q), K = compute_Z(fact.H, G, fact.H)
+    dfact = D.correction
+    assert np.array_equal(P, dfact.P) and Q is fact.H and dfact.Q is fact.H
+    held = [a for a in vars(dfact).values() if isinstance(a, np.ndarray)]
+    assert len(held) == 3 and all(min(a.shape) <= spec.N for a in held)
     # 435 pairs above the diagonal, their knot-spacing phases repeat
     R, xi = fact.rows, [ker.xi for ker in fact.kernels]
     blocks = {}
@@ -284,7 +292,11 @@ def test_fresh_specs_share_the_aligned_fold_and_a_bit_identical_gram():
     info = saf._aligned_fold.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(warm.fact.L, cold.fact.L)
-    assert np.array_equal(warm.G, cold.G)
+    for name in ("P", "Q", "K"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+    lat._phase0_sums.cache_clear()
+    G_cold = tail_row_gram(cold.fact)
+    assert np.array_equal(tail_row_gram(warm.fact), G_cold)
 
 
 def test_dual_keeps_the_factorization_kernel_tol():
@@ -338,47 +350,75 @@ def test_dual_radius_from_the_smaller_product(monkeypatch):
         dfact = build_dual_factorization(warp, spec, fact=fact)
         radius = dfact.spectral_radius
         monkeypatch.undo()
-        n = min(dfact.H.shape)
+        n = min(fact.H.shape)
         assert calls == [(n, n)]
-        full = eigvals(dfact.H_dual @ dfact.H.conj().T @ dfact.G)
+        full = eigvals(dfact.fact_dual.H @ fact.H.conj().T @ tail_row_gram(fact))
         assert radius == pytest.approx(np.max(np.abs(full)), rel=1e-12)
 
 
 def test_norm_bound_at_or_above_one_takes_the_exact_radius(monkeypatch):
     # a nilpotent K: ||K||_F = 2 but rho(K) = 0, so the series converges
-    # and the eigenvalues accept it; Z = G (I - K)^(-1)
+    # and the eigenvalues accept it; P Q = H' G (I - K)^(-1) H_dual
     H = G = np.eye(2, dtype=complex)
     H_dual = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda C: calls.append(C.shape) or eigvals(C))
-    Z, K = compute_Z(H, G, H_dual)
+    (P, Q), K = compute_Z(H, G, H_dual)
     monkeypatch.undo()
     assert np.linalg.norm(K) == 2.0
     assert calls == [(2, 2)]
-    assert np.array_equal(Z, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert np.array_equal(P @ Q, np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
 def test_resummation_solves_in_the_smaller_space(monkeypatch):
-    # Z = G (I - H_dual H'G)^(-1) needs only an N-square solve when the
-    # J R rows outnumber the N columns: here 144 x 33 solves 33-square,
-    # while the exponential map at N = 129 (64 rows) keeps its 64-square one
+    # the correction needs only an N-square solve when the J R rows
+    # outnumber the N columns: here 144 x 33 solves 33-square and keeps
+    # H_dual as Q, while the exponential map at N = 129 (64 rows) keeps its
+    # 64-square solve and H' as P
     w = exponential_map()
     cases = [(_pl_freq(), 33), ((w, domain_spec(w, 129, 259, b=0.5)), 64)]
     solve = np.linalg.solve
     for (warp, spec), side in cases:
-        dfact = build_dual_factorization(warp, spec)
-        H, G, H_dual = dfact.H, dfact.G, dfact.H_dual
+        fact = build_factorization(warp, spec, 0.5)
+        H = fact.H
+        G = tail_row_gram(fact)
         calls = []
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: calls.append(a.shape) or solve(a, b))
-        Z, _ = compute_Z(H, G, H_dual)
+        (P, Q), _ = compute_Z(H, G, H)
         monkeypatch.undo()
         assert calls == [(side, side)]
-        n = H.shape[0]
-        direct = G @ np.linalg.inv(np.eye(n) - H_dual @ H.conj().T @ G)
-        assert np.max(np.abs(Z - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert P.shape == H.T.shape and Q.shape == H.shape
+        if H.shape[0] > spec.N:
+            assert Q is H
+        else:
+            assert np.array_equal(P, H.conj().T)
+
+
+def test_correction_factors_match_the_dense_resummation():
+    # P Q = H'G (I - H_dual H'G)^(-1) H_dual with the n x n inverse formed
+    # densely, on both sides of n = N: 192 rows over N = 33 at b = 0.3, and
+    # 64 rows over N = 129 at b = 1/2
+    w = exponential_map()
+    cases = [(_pl_freq(), 0.3), ((w, domain_spec(w, 129, 259, b=0.5)), 0.5)]
+    for (warp, spec), b in cases:
+        dfact = build_dual_factorization(warp, spec, b)
+        H, H_dual = dfact.fact.H, dfact.fact_dual.H
+        HG = H.conj().T @ tail_row_gram(dfact.fact)
+        direct = HG @ np.linalg.inv(np.eye(H.shape[0]) - H_dual @ HG) @ H_dual
+        assert np.max(np.abs(dfact.P @ dfact.Q - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_correction_factors_are_read_only():
+    # on both sides of n = N, as above
+    w = exponential_map()
+    for warp, spec in (_pl_freq(), (w, domain_spec(w, 129, 259, b=0.5))):
+        dfact = build_dual_factorization(warp, spec, 0.3)
+        for a in (dfact.P, dfact.Q, dfact.K):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
 
 
 def test_diverging_series_is_refused_before_any_solve(monkeypatch):
@@ -408,7 +448,7 @@ def test_gate_and_solve_read_one_product(monkeypatch):
         monkeypatch.undo()
         assert len(gated) == 1 and len(solved) == 1
         (C,), (B,) = gated, solved
-        if dfact.H.shape[0] <= spec.N:
+        if fact.H.shape[0] <= spec.N:
             B = B.T
         assert np.array_equal(C, dfact.K)
         assert np.array_equal(B, np.eye(dfact.K.shape[0]) - dfact.K)
@@ -482,7 +522,7 @@ def test_dual_freq_neumann_operator_consistency():
     w, spec = _exp_freq()
     D = dual_W_f(w, spec)
     dfact = D.correction
-    base = build_W_f(w, spec, b=dfact.b_dual, factorization=dfact.fact_dual)
+    base = build_W_f(w, spec, b=dfact.fact_dual.b, factorization=dfact.fact_dual)
     D40 = base.entries @ _neumann_sandwich(dfact, 40)
     assert np.linalg.norm(D.entries - D40, 2) < 1e-8
 
@@ -542,7 +582,7 @@ def test_dual_time_interpolation_pair():
     Wt0 = build_W_t(w, spec, b=0.0)
     D = dual_W_t(w, spec, b=0.0)
     assert D.b == 1.0
-    assert D.correction.b == 0.0 and D.correction.b_dual == 1.0
+    assert D.correction.fact.b == 0.0 and D.correction.fact_dual.b == 1.0
     assert Wt0.deviation_from_identity(D) < 1e-10
     # round trip on a concrete signal
     rng = np.random.default_rng(11)
@@ -677,9 +717,8 @@ def test_real_kinds_are_the_real_part_of_their_complex_evaluation(name, N, b):
             return
         D = dual_W_t(w, spec)
     dfact = D.correction
-    factor = np.eye(N) + swf._to_time_product(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                                              spec.input_set, spec.input_set)
-    base = corrected(dfact.b_dual, dfact.fact_dual)
+    factor = np.eye(N) + swf._to_time_product(dfact.P, dfact.Q, spec.input_set, spec.input_set)
+    base = corrected(dfact.fact_dual.b, dfact.fact_dual)
     ref = (base @ factor).real
     # a real and a complex matrix product sum in different orders: the two
     # agree to the rounding bound of an N-term dot product, not to 2 ulp
@@ -720,8 +759,7 @@ def test_factored_crossing_matches_the_dense_crossing(name, N, b):
         crossings = [(fact.L, fact.H, spec.output_set, spec.input_set)]
         if (name, N) not in NO_DUAL:
             dfact = build_dual_factorization(w, spec, fact=fact)
-            crossings.append((dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                              spec.input_set, spec.input_set))
+            crossings.append((dfact.P, dfact.Q, spec.input_set, spec.input_set))
     for L, R, rows, cols in crossings:
         dense = _assert_crossing_matches_dense(L, R, rows, cols)
         # the imaginary part the factored crossing drops vanishes on these sets
@@ -735,8 +773,7 @@ def test_factored_crossing_matches_the_dense_crossing_on_skewed_sets():
     dfact = build_dual_factorization(w, spec)
     fact = dfact.fact
     _assert_crossing_matches_dense(fact.L, fact.H, spec.output_set, spec.input_set)
-    _assert_crossing_matches_dense(dfact.H.conj().T, dfact.Z @ dfact.H_dual,
-                                   spec.input_set, spec.input_set)
+    _assert_crossing_matches_dense(dfact.P, dfact.Q, spec.input_set, spec.input_set)
 
 
 @pytest.mark.parametrize("name", ["exponential", "piecewise_linear"])

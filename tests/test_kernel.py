@@ -400,6 +400,16 @@ def test_build_kernel_refuses_b_outside_the_unit_interval(b):
         build_kernel(w, spec, b)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 2.0])
+def test_build_kernel_refuses_kernel_tol_outside_the_open_unit_interval(tol):
+    # refused where it enters, whether R is chosen from it or given
+    w = exponential_map()
+    spec = domain_spec(w, 9, 19)
+    for R in (None, 4):
+        with pytest.raises(ValueError, match="kernel_tol"):
+            build_kernel(w, spec, R=R, kernel_tol=tol)
+
+
 @pytest.mark.parametrize("b", [0.5, 0.3, 0.0, 1.0, 1.0 / 3.0, 0.7123456789])
 def test_kernel_matches_fraction_collapse_bit_for_bit(b):
     # a piecewise-linear map lives at level 0 only, where the contraction

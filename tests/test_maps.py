@@ -237,6 +237,21 @@ def test_rejects_non_monotone():
         wm.atan_tan_map(0.0)
 
 
+def test_rejects_non_finite_parameters():
+    # a NaN or infinite nu used to slip past nu <= 0 and build a map whose
+    # slope range was NaN; a negative or NaN smoothing failed with an
+    # unrelated message
+    for nu in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            wm.atan_tan_map(nu)
+    for eps in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="smoothing must be non-negative and finite"):
+            wm.piecewise_linear_map(smoothing=eps)
+    # the slope range itself refuses what is not finite
+    with pytest.raises(ValueError, match=r"finite slopes: slope range \[nan, nan\]"):
+        wm.WarpMap([wm.Piece(0.0, 1.0, "atan_tan", (float("nan"),))])
+
+
 def test_builtin_registry():
     assert set(wm.BUILTIN_MAPS) >= {
         "identity",
